@@ -8,6 +8,7 @@
 // is scoring work summed across workers. cpu/wall approximates the achieved
 // parallelism and is bounded by the hardware threads actually available.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -75,6 +76,37 @@ int main(int argc, char** argv) {
   json.AddConfig("num_questions", static_cast<int64_t>(questions.size()));
   json.AddConfig("hardware_threads", static_cast<int64_t>(hw));
 
+  // Cold path: the first question on a fresh explain state (SetPatterns
+  // drops the engine's state), which builds every γ table it scans; median
+  // of kColdReps. Every answer must match the warm 1-thread reference below.
+  constexpr int kColdReps = 5;
+  std::printf("%-8s %18s %10s\n", "threads", "cold q0 p50 (ms)", "γ tables");
+  std::vector<std::string> cold_runs;
+  for (int threads : {1, 4}) {
+    engine.explain_config().num_threads = threads;
+    std::vector<double> wall_ms;
+    size_t tables = 0;
+    for (int rep = 0; rep < kColdReps; ++rep) {
+      engine.SetPatterns(engine.patterns());
+      auto result = CheckResult(engine.Explain(questions[0], /*optimized=*/true), "Explain");
+      wall_ms.push_back(result.profile.total_ns * 1e-6);
+      tables = CheckResult(engine.MakeExplainSession(), "MakeExplainSession")
+                   .num_cached_agg_tables();
+      cold_runs.push_back(RenderRun(engine, result));
+    }
+    std::sort(wall_ms.begin(), wall_ms.end());
+    const double p50_ms = wall_ms[wall_ms.size() / 2];
+    std::printf("%-8d %18.2f %10zu\n", threads, p50_ms, tables);
+    json.BeginResult();
+    json.Add("phase", std::string("cold_first_question"));
+    json.Add("threads", static_cast<int64_t>(threads));
+    json.Add("wall_s_p50", p50_ms * 1e-3);
+    json.Add("agg_tables", static_cast<int64_t>(tables));
+  }
+  std::printf("\n");
+  // Warm the state with every question so the sweep compares warm runs.
+  for (const UserQuestion& q : questions) CheckResult(engine.Explain(q), "Explain");
+
   std::vector<std::string> reference_runs;
   double reference_seconds = 0.0;
   std::printf("%-8s %10s %10s %9s %9s %12s\n", "threads", "wall(s)", "cpu(s)", "speedup",
@@ -92,6 +124,11 @@ int main(int argc, char** argv) {
       const std::string rendered = RenderRun(engine, result);
       if (threads == 1) {
         reference_runs.push_back(rendered);
+        if (qi == 0 && std::count(cold_runs.begin(), cold_runs.end(), rendered) !=
+                           static_cast<std::ptrdiff_t>(cold_runs.size())) {
+          std::fprintf(stderr, "COLD MISMATCH: a cold first answer differs from the warm one\n");
+          return 1;
+        }
       } else if (rendered != reference_runs[qi]) {
         std::fprintf(stderr,
                      "PARALLEL MISMATCH at %d threads, question %zu: top-k differs\n",
@@ -104,6 +141,7 @@ int main(int argc, char** argv) {
                 reference_seconds / wall_s, cpu_s / wall_s,
                 static_cast<long long>(num_expl));
     json.BeginResult();
+    json.Add("phase", std::string("warm_sweep"));
     json.Add("threads", static_cast<int64_t>(threads));
     json.Add("wall_s", wall_s);
     json.Add("cpu_s", cpu_s);

@@ -10,7 +10,8 @@ namespace cape {
 Engine::Engine(TablePtr table)
     : table_(std::move(table)),
       distance_model_(DistanceModel::MakeDefault(*table_)),
-      stats_cell_(std::make_unique<StatsCell>()) {}
+      stats_cell_(std::make_unique<StatsCell>()),
+      explain_cell_(std::make_unique<ExplainCell>()) {}
 
 Result<Engine> Engine::FromTable(TablePtr table) {
   if (table == nullptr) return Status::InvalidArgument("table must not be null");
@@ -36,6 +37,7 @@ Result<Engine> Engine::FromCsvFile(const std::string& path, const CsvReadOptions
 }
 
 Status Engine::MinePatterns(const std::string& miner_name) {
+  ResetExplainState();
   // Approximate (sampled) results carry error bounds, not guarantees; they
   // never enter the serving cache even though their digest would segregate
   // them — a sampled set must be an explicit per-run choice, not an
@@ -111,6 +113,7 @@ Status Engine::AppendAndRemine(const std::vector<Row>& rows,
   // the pre-append key the cache entry currently lives under.
   if (use_cache) old_fingerprint = table_->Fingerprint();
   for (const Row& row : rows) CAPE_RETURN_IF_ERROR(table_->AppendRow(row));
+  ResetExplainState();
   {
     MutexLock lock(stats_cell_->mu);
     stats_cell_->stats.maint_appends += 1;
@@ -179,6 +182,11 @@ Status Engine::MaintainIncrementally(uint64_t config_digest) {
   return Status::OK();
 }
 
+void Engine::SetPatterns(PatternSet patterns) {
+  patterns_ = std::make_shared<const PatternSet>(std::move(patterns));
+  ResetExplainState();
+}
+
 Status Engine::SavePatterns(const std::string& path) const {
   if (patterns_ == nullptr) {
     return Status::InvalidArgument("no patterns mined; call MinePatterns() first");
@@ -198,6 +206,7 @@ Status Engine::LoadPatterns(const std::string& path) {
   PatternStoreMeta meta;
   CAPE_ASSIGN_OR_RETURN(PatternSet loaded, LoadPatternSet(path, schema(), &meta));
   patterns_ = std::make_shared<const PatternSet>(std::move(loaded));
+  ResetExplainState();
   // A binary store records which mining config produced it; use that to
   // warm the serving cache so later MinePatterns calls hit without mining.
   if (pattern_cache_ != nullptr && meta.format_version == kPatternStoreFormatVersion &&
@@ -215,14 +224,37 @@ Result<UserQuestion> Engine::MakeQuestion(const std::vector<std::string>& group_
   return MakeUserQuestion(table_, group_by, group_values, agg, agg_attr, dir);
 }
 
-Result<ExplainResult> Engine::Explain(const UserQuestion& question, bool optimized) const {
+Result<std::shared_ptr<const ExplainState>> Engine::CurrentExplainState() const {
   if (patterns_ == nullptr) {
     return Status::InvalidArgument("no patterns mined; call MinePatterns() first");
   }
-  auto generator = optimized ? MakeOptimizedExplainer() : MakeNaiveExplainer();
-  CAPE_ASSIGN_OR_RETURN(
-      ExplainResult result,
-      generator->Explain(question, *patterns_, distance_model_, explain_config_));
+  // Cached and O(delta) after an append; taken outside the cell lock so the
+  // table's fingerprint lock never nests inside it.
+  const uint64_t fingerprint = table_->Fingerprint();
+  MutexLock lock(explain_cell_->mu);
+  std::shared_ptr<const ExplainState>& state = explain_cell_->state;
+  if (state == nullptr || explain_cell_->fingerprint != fingerprint ||
+      state->shared_patterns() != patterns_) {
+    state = std::make_shared<const ExplainState>(table_, patterns_);
+    explain_cell_->fingerprint = fingerprint;
+  }
+  return state;
+}
+
+void Engine::ResetExplainState() {
+  MutexLock lock(explain_cell_->mu);
+  explain_cell_->state = nullptr;
+}
+
+Result<ExplainResult> Engine::Explain(const UserQuestion& question, bool optimized) const {
+  CAPE_ASSIGN_OR_RETURN(std::shared_ptr<const ExplainState> state, CurrentExplainState());
+  // A question over another table (equal content, say) cannot use this
+  // engine's γ tables; it gets a throwaway state over its own relation.
+  if (question.relation != table_ && question.relation != nullptr) {
+    state = std::make_shared<const ExplainState>(question.relation, patterns_);
+  }
+  CAPE_ASSIGN_OR_RETURN(ExplainResult result,
+                        state->Explain(question, distance_model_, explain_config_, optimized));
   {
     MutexLock lock(stats_cell_->mu);
     RunStats& stats = stats_cell_->stats;
@@ -247,10 +279,8 @@ std::string Engine::RenderExplanations(const std::vector<Explanation>& explanati
 }
 
 Result<ExplainSession> Engine::MakeExplainSession() const {
-  if (patterns_ == nullptr) {
-    return Status::InvalidArgument("no patterns mined; call MinePatterns() first");
-  }
-  return ExplainSession(patterns_, distance_model_, explain_config_);
+  CAPE_ASSIGN_OR_RETURN(std::shared_ptr<const ExplainState> state, CurrentExplainState());
+  return ExplainSession(std::move(state), distance_model_, explain_config_);
 }
 
 std::string Engine::RenderPatterns(size_t max_patterns) const {

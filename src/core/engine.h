@@ -117,7 +117,8 @@ struct RunStats {
 /// ExplainBaseline(), MakeQuestion(), MakeExplainSession(), run_stats(), and
 /// the accessors concurrently; observability is recorded under an internal
 /// stats mutex (last-writer-wins for the per-request explain_* fields,
-/// exact sums for the cumulative counters). The non-const surface
+/// exact sums for the cumulative counters), and the shared explain state is
+/// thread-safe. The non-const surface
 /// (MinePatterns, LoadPatterns, set_* and the mutable config accessors) is
 /// NOT safe to run concurrently with the const surface — servers do all
 /// mutation before accepting traffic (DESIGN.md §13).
@@ -186,9 +187,7 @@ class Engine {
 
   /// Injects an externally mined or filtered pattern set (used by benches
   /// to vary N_P).
-  void SetPatterns(PatternSet patterns) {
-    patterns_ = std::make_shared<const PatternSet>(std::move(patterns));
-  }
+  void SetPatterns(PatternSet patterns);
 
   /// Persists the mined patterns (offline phase) / restores them (online
   /// phase). SavePatterns writes the human-readable text form;
@@ -249,13 +248,16 @@ class Engine {
 
   /// Generates top-k counterbalance explanations. `optimized` selects
   /// EXPL-GEN-OPT (Section 3.5) over EXPL-GEN-NAIVE (Algorithm 1).
-  /// Requires MinePatterns()/SetPatterns() to have run.
+  /// Requires MinePatterns()/SetPatterns() to have run. A question over this
+  /// engine's table (what MakeQuestion builds) runs against the engine's
+  /// explain state, so it costs what it costs in a warm session; a question
+  /// over another table is answered from a throwaway state.
   Result<ExplainResult> Explain(const UserQuestion& question, bool optimized = true) const;
 
-  /// Opens a batch serving session over the current pattern set: answers
-  /// many questions while memoizing question-independent work (aggregated
-  /// data tables, refinement adjacency). Results are byte-identical to
-  /// calling Explain() per question. Requires patterns.
+  /// Opens a batch serving session with its own copy of the explain config.
+  /// The session shares the engine's explain state (γ tables, refinement
+  /// adjacency) with Explain() and every other session; its answers are
+  /// byte-identical to calling Explain() per question. Requires patterns.
   Result<ExplainSession> MakeExplainSession() const;
 
   /// The Appendix A.2 pattern-free baseline, for comparison.
@@ -274,12 +276,30 @@ class Engine {
   /// the current config, absorb the delta, and publish the finalized set.
   Status MaintainIncrementally(uint64_t config_digest);
 
+  /// The explain state for the current table content and pattern set,
+  /// created on first use. Thread-safe.
+  Result<std::shared_ptr<const ExplainState>> CurrentExplainState() const
+      CAPE_EXCLUDES(explain_cell_->mu);
+
+  /// Drops the explain state; called whenever the pattern set or the table
+  /// changes, so stale γ tables are freed at once.
+  void ResetExplainState() CAPE_EXCLUDES(explain_cell_->mu);
+
   /// Stats live behind a heap cell so the mutex survives Engine moves and
   /// const methods (Explain) can record observability without `mutable` on
   /// the whole struct.
   struct StatsCell {
     mutable Mutex mu;
     RunStats stats CAPE_GUARDED_BY(mu);
+  };
+
+  /// The engine-owned explain state, keyed on the table fingerprint it was
+  /// built at and on its pattern-set pointer. A heap cell for the same
+  /// reasons as StatsCell.
+  struct ExplainCell {
+    mutable Mutex mu;
+    uint64_t fingerprint CAPE_GUARDED_BY(mu) = 0;
+    std::shared_ptr<const ExplainState> state CAPE_GUARDED_BY(mu);
   };
 
   TablePtr table_;
@@ -293,6 +313,7 @@ class Engine {
   /// diverges or maintenance degrades to a full re-mine.
   std::unique_ptr<PatternMaintainer> maintainer_;
   std::unique_ptr<StatsCell> stats_cell_;
+  std::unique_ptr<ExplainCell> explain_cell_;
 };
 
 }  // namespace cape

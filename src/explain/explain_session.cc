@@ -1,46 +1,17 @@
 #include "explain/explain_session.h"
 
 #include "common/macros.h"
-#include "explain/explainer_internal.h"
 
 namespace cape {
 
-ExplainSession::ExplainSession(std::shared_ptr<const PatternSet> patterns,
+ExplainSession::ExplainSession(std::shared_ptr<const ExplainState> state,
                                DistanceModel distance, ExplainConfig config)
-    : patterns_(std::move(patterns)), distance_(std::move(distance)),
-      config_(std::move(config)),
-      state_(std::make_unique<explain_internal::SessionState>()) {}
-
-// Out of line: SessionState is incomplete in the header (pimpl).
-ExplainSession::~ExplainSession() = default;
-ExplainSession::ExplainSession(ExplainSession&&) noexcept = default;
-ExplainSession& ExplainSession::operator=(ExplainSession&&) noexcept = default;
-
-int64_t ExplainSession::questions_answered() const { return state_->questions_answered; }
-
-size_t ExplainSession::num_cached_agg_tables() const {
-  return state_->agg_cache == nullptr ? 0 : state_->agg_cache->num_entries();
-}
+    : state_(std::move(state)), distance_(std::move(distance)), config_(std::move(config)) {}
 
 Result<ExplainResult> ExplainSession::Explain(const UserQuestion& question, bool optimized) {
-  if (patterns_ == nullptr) {
-    return Status::InvalidArgument("ExplainSession has no pattern set");
-  }
-  if (state_->relation == nullptr) {
-    state_->relation = question.relation.get();
-  } else if (state_->relation != question.relation.get()) {
-    // The memoized γ tables are computed over the first question's
-    // relation; serving a different table from them would be silently
-    // wrong, so reject instead.
-    return Status::InvalidArgument(
-        "ExplainSession answers questions over one relation; open a new session "
-        "for a different table");
-  }
   CAPE_ASSIGN_OR_RETURN(ExplainResult result,
-                        explain_internal::RunExplainWithState(question, *patterns_, distance_,
-                                                              config_, optimized,
-                                                              state_.get()));
-  state_->questions_answered += 1;
+                        state_->Explain(question, distance_, config_, optimized));
+  questions_answered_ += 1;
   return result;
 }
 

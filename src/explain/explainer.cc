@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
-#include <mutex>
 #include <set>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "explain/explain_session.h"
 #include "explain/explainer_internal.h"
 #include "relational/kernels.h"
 
@@ -19,7 +23,8 @@ namespace cape {
 namespace {
 
 using explain_internal::AggDataCache;
-using explain_internal::SessionState;
+using explain_internal::AggKey;
+using explain_internal::SharedState;
 
 /// Stable identity of a candidate explanation. The paper deduplicates per
 /// (P', t'); we deduplicate per counterbalance tuple t' (attrs + values),
@@ -52,71 +57,99 @@ bool RankLess(const CandidateRank& a, const CandidateRank& b) {
   return a.row < b.row;
 }
 
-/// Holds the best-scoring explanation per counterbalance tuple and exposes
-/// the k-th best deduplicated score as the pruning floor. Each scoring
-/// worker owns one pool (no locks on the Add path); when a `floor` is
-/// attached, every update that changes a full pool's threshold publishes it
-/// to the shared monotone floor so other workers prune against it too.
+/// The best explanation per counterbalance tuple, bounded to the k best
+/// tuples: at most k entries, ordered by score descending, then CandidateKey
+/// ascending. A tuple seen again keeps its higher-scoring explanation; on a
+/// score tie the lower CandidateRank wins. Insert is O(log k).
+///
+/// Invariant: the pool holds exactly the first k entries an unbounded
+/// per-tuple-best pool would hold. An evicted tuple left k entries strictly
+/// ahead of it, and the k-th entry only ever rises, so a later candidate for
+/// that tuple re-enters only with a higher score — exactly when it would
+/// have entered the top k of the unbounded pool too. Each scoring worker
+/// owns one pool (no locks on the Add path); when a `floor` is attached,
+/// every update that changes a full pool's threshold publishes it to the
+/// shared monotone floor so other workers prune against it too.
 class CandidatePool {
  public:
   CandidatePool(int k, SharedScoreFloor* floor) : k_(k), floor_(floor) {}
 
   void Add(Explanation e, CandidateRank rank) {
     std::string key = CandidateKey(e);
-    auto it = best_.find(key);
-    if (it == best_.end()) {
-      scores_.insert(e.score);
-      best_.emplace(std::move(key), Entry{std::move(e), rank});
-      Publish();
-      return;
-    }
-    Entry& held = it->second;
-    if (e.score < held.explanation.score) return;
-    if (e.score == held.explanation.score) {
-      // Same tuple, same score, different (P, P') or row: deterministic
-      // winner regardless of insertion order.
-      if (RankLess(rank, held.rank)) held = Entry{std::move(e), rank};
-      return;
-    }
-    scores_.erase(scores_.find(held.explanation.score));
-    scores_.insert(e.score);
-    held = Entry{std::move(e), rank};
-    Publish();
+    Insert(std::move(key), std::move(e), rank);
   }
 
-  /// Folds another pool's candidates into this one (used for the final
-  /// merge; both pools must share the same k).
+  /// Folds another pool's entries into this one (used for the final merge;
+  /// both pools must share the same k). The union of the workers' top k
+  /// holds the top k of all their candidates, so this touches k entries
+  /// per worker.
   void Merge(const CandidatePool& other) {
-    for (const auto& [key, entry] : other.best_) Add(entry.explanation, entry.rank);
+    for (const Entry& entry : other.order_) Insert(entry.key, entry.explanation, entry.rank);
   }
 
-  bool Full() const { return static_cast<int>(best_.size()) >= k_; }
+  bool Full() const { return static_cast<int>(order_.size()) >= k_; }
 
   /// Lowest score still inside the top-k, or -inf when not yet full.
   double Threshold() const {
     if (!Full()) return -std::numeric_limits<double>::infinity();
-    auto it = scores_.begin();
-    std::advance(it, k_ - 1);
-    return *it;
+    return order_.rbegin()->score;
   }
 
   std::vector<Explanation> TopK() const {
     std::vector<Explanation> out;
-    out.reserve(best_.size());
-    for (const auto& [key, entry] : best_) out.push_back(entry.explanation);
-    std::sort(out.begin(), out.end(), [](const Explanation& a, const Explanation& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return CandidateKey(a) < CandidateKey(b);  // deterministic tie-break
-    });
-    if (static_cast<int>(out.size()) > k_) out.resize(static_cast<size_t>(k_));
+    out.reserve(order_.size());
+    for (const Entry& entry : order_) out.push_back(entry.explanation);
     return out;
   }
 
  private:
   struct Entry {
-    Explanation explanation;
-    CandidateRank rank;
+    double score;
+    std::string key;
+    // Not part of the order: a same-score, lower-rank candidate for the same
+    // tuple replaces them in place.
+    mutable Explanation explanation;
+    mutable CandidateRank rank;
   };
+  /// Score descending, then CandidateKey ascending (deterministic tie-break).
+  static bool Ahead(double score, const std::string& key, const Entry& other) {
+    if (score != other.score) return score > other.score;
+    return key < other.key;
+  }
+  struct Order {
+    bool operator()(const Entry& a, const Entry& b) const { return Ahead(a.score, a.key, b); }
+  };
+  using Entries = std::set<Entry, Order>;
+
+  void Insert(std::string key, Explanation e, CandidateRank rank) {
+    const double score = e.score;
+    auto held = index_.find(key);
+    if (held != index_.end()) {
+      const Entry& entry = *held->second;
+      if (score < entry.score) return;
+      if (score == entry.score) {
+        // Same tuple, same score, different (P, P') or row: deterministic
+        // winner regardless of insertion order.
+        if (RankLess(rank, entry.rank)) {
+          entry.explanation = std::move(e);
+          entry.rank = rank;
+        }
+        return;
+      }
+      const Entries::iterator old = held->second;
+      index_.erase(held);
+      order_.erase(old);
+    } else if (Full()) {
+      const Entries::iterator worst = std::prev(order_.end());
+      if (!Ahead(score, key, *worst)) return;
+      index_.erase(std::string_view(worst->key));
+      order_.erase(worst);
+    }
+    const Entries::iterator it =
+        order_.insert(Entry{score, std::move(key), std::move(e), rank}).first;
+    index_.emplace(std::string_view(it->key), it);
+    Publish();
+  }
 
   void Publish() {
     if (floor_ != nullptr && Full()) floor_->RaiseTo(Threshold());
@@ -124,8 +157,9 @@ class CandidatePool {
 
   int k_;
   SharedScoreFloor* floor_;
-  std::unordered_map<std::string, Entry> best_;
-  std::multiset<double, std::greater<double>> scores_;
+  Entries order_;
+  // Keys view the strings inside order_'s nodes, which never move.
+  std::unordered_map<std::string_view, Entries::iterator> index_;
 };
 
 /// Relevant patterns (Definition 5) restricted to the question's aggregate:
@@ -193,6 +227,10 @@ struct PairTask {
   double bound = 0.0;
 };
 
+AggKey AggKeyOf(const Pattern& refinement) {
+  return AggKey{refinement.GroupAttrs().bits(), refinement.agg, refinement.agg_attr};
+}
+
 /// Scans all candidate tuples t' for one (P, P') pair, adding every valid
 /// explanation (Definition 7) to the worker's pool. When `prune_locals` is
 /// set, fragments whose local deviation bound cannot beat the shared score
@@ -200,17 +238,16 @@ struct PairTask {
 /// comparison is strict: a fragment that could still *tie* the k-th best
 /// score is always scanned, which is what makes the pruned set — and hence
 /// the final top-k — independent of thread count and timing.
-Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
-                    const GlobalPattern& refinement, double norm,
+Status EvaluatePair(const UserQuestion& q, const PairTask& pair, const Table* data,
                     const DistanceModel& distance_model, const ExplainConfig& config,
-                    AggDataCache* cache, bool prune_locals, int64_t pair_rank,
-                    const SharedScoreFloor* floor, CandidatePool* pool,
-                    ExplainProfile* profile, StopToken* stop) {
+                    bool prune_locals, int64_t pair_rank, const SharedScoreFloor* floor,
+                    CandidatePool* pool, ExplainProfile* profile, StopToken* stop) {
   CAPE_FAILPOINT("explain.refine");
-  const Pattern& p = relevant.pattern;
+  const GlobalPattern& refinement = *pair.refinement;
+  const Pattern& p = pair.relevant->pattern;
   const Pattern& pp = refinement.pattern;
-  const AttrSet attrs = pp.GroupAttrs();  // F' ∪ V
-  CAPE_ASSIGN_OR_RETURN(TablePtr data, cache->Get(attrs, pp.agg, pp.agg_attr, stop));
+  const AttrSet attrs = pp.GroupAttrs();  // F' ∪ V  (`data` is γ over it)
+  const double norm = pair.norm;
 
   const std::vector<int> attr_list = attrs.ToIndices();
   const int agg_col = static_cast<int>(attr_list.size());
@@ -290,6 +327,17 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
     const double predicted = local->model->Predict(x);
     const double y = data->column(agg_col).GetNumeric(row);
     if (q.dir == Direction::kLow ? y <= predicted : y >= predicted) return;
+    profile->num_candidates += 1;
+
+    // The score with distance_lb in place of the distance bounds this
+    // candidate's score from above (distance >= distance_lb, both rounded
+    // monotonically). Below the pool's k-th entry it can never enter the
+    // pool, so it is not boxed at all. Strict, like every prune here.
+    const double deviation = y - predicted;
+    if ((deviation * isLow) / ((distance_lb + config.epsilon) * norm_denominator) <
+        pool->Threshold()) {
+      return;
+    }
 
     Explanation e;
     e.relevant_pattern = p;
@@ -301,12 +349,11 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
     }
     e.agg_value = y;
     e.predicted = predicted;
-    e.deviation = y - predicted;
+    e.deviation = deviation;
     e.distance =
         distance_model.Distance(q.group_attrs, q.group_values, attrs, e.tuple_values);
     e.norm = norm;
     e.score = (e.deviation * isLow) / ((e.distance + config.epsilon) * norm_denominator);
-    profile->num_candidates += 1;
     pool->Add(std::move(e), CandidateRank{pair_rank, row});
   };
 
@@ -339,13 +386,15 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
   return Status::OK();
 }
 
-/// Shared implementation of both generators (Section 3). The relevant-
-/// pattern search and NORM queries run inline; the (P, P') scoring units
-/// are then partitioned across the shared ThreadPool — each worker scores
-/// into its own CandidatePool against a shared monotone score floor, and
-/// the per-worker pools are merged at the end. `optimized` enables the
-/// Section 3.5 ordering and pruning (EXPL-GEN-OPT); the naive generator
-/// scores every pair in enumeration order.
+/// Shared implementation of both generators (Section 3), for one-shot and
+/// session calls alike: `shared` is the explain state of (q.relation,
+/// patterns). The relevant-pattern search and NORM queries run inline; the
+/// (P, P') scoring units are then partitioned across the shared ThreadPool
+/// — each worker scores into its own CandidatePool against a shared
+/// monotone score floor, building missing γ tables on demand, and the
+/// per-worker pools are merged at the end. `optimized` enables the Section
+/// 3.5 ordering and pruning (EXPL-GEN-OPT); the naive generator scores every
+/// pair in enumeration order.
 ///
 /// Determinism (DESIGN.md §9): the pair list and every per-candidate tie-
 /// break are deterministic, the floor is monotone and only ever below the
@@ -354,45 +403,20 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
 /// every run. The merged top-k is therefore byte-identical at any thread
 /// count.
 Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patterns,
-                                 const DistanceModel& distance, const ExplainConfig& config,
-                                 bool optimized, SessionState* state) {
+                                 SharedState* shared, const DistanceModel& distance,
+                                 const ExplainConfig& config, bool optimized) {
+  if (config.top_k < 1) return Status::InvalidArgument("top_k must be >= 1");
   ExplainResult result;
   Stopwatch total;
   StopToken stop = config.MakeStopToken();
-  // One-shot calls build the γ cache per request; a session keeps one alive
-  // across its batch (the tables depend only on the relation).
-  std::unique_ptr<AggDataCache> local_cache;
-  AggDataCache* cache = nullptr;
-  if (state != nullptr) {
-    if (state->agg_cache == nullptr) {
-      state->agg_cache = std::make_unique<AggDataCache>(*q.relation);
-    }
-    cache = state->agg_cache.get();
-  } else {
-    local_cache = std::make_unique<AggDataCache>(*q.relation);
-    cache = local_cache.get();
-  }
   const bool prune_pairs = optimized && config.prune_pairs;
   const bool prune_locals = optimized && config.prune_locals;
 
-  // Refinement adjacency is question-independent; a session computes it
-  // once. The per-pattern lists keep enumeration order, so the pair list
-  // below is identical to the inline scan of the one-shot path.
-  const std::vector<GlobalPattern>& all = patterns.patterns();
-  if (state != nullptr && !state->adjacency_built) {
-    state->refinements.assign(all.size(), {});
-    for (size_t i = 0; i < all.size(); ++i) {
-      for (size_t j = 0; j < all.size(); ++j) {
-        if (all[j].pattern.IsRefinementOf(all[i].pattern)) {
-          state->refinements[i].push_back(static_cast<int64_t>(j));
-        }
-      }
-    }
-    state->adjacency_built = true;
-  }
-
   // Stage 1 (inline): relevant patterns, NORM per relevant pattern, and the
-  // (P, P') pair list with Section 3.5 score upper bounds.
+  // (P, P') pair list with Section 3.5 score upper bounds. The state's
+  // adjacency lists keep enumeration order, so the pair list is the one a
+  // scan of the whole pattern set would produce.
+  const std::vector<GlobalPattern>& all = patterns.patterns();
   std::vector<PairTask> pairs;
   const auto relevant = FindRelevantPatterns(q, patterns);
   result.profile.num_relevant_patterns = static_cast<int64_t>(relevant.size());
@@ -407,7 +431,8 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
     }
     const double norm = norm_result.ValueOrDie();
     const double norm_denominator = std::fabs(norm) + config.epsilon;
-    auto add_pair = [&](const GlobalPattern& pp) {
+    for (int64_t j : shared->refinements[static_cast<size_t>(p - all.data())]) {
+      const GlobalPattern& pp = all[static_cast<size_t>(j)];
       result.profile.num_refinement_pairs += 1;
       double bound = 0.0;
       if (optimized) {
@@ -416,17 +441,6 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
         bound = dev_up <= 0.0 ? 0.0 : dev_up / ((d_lb + config.epsilon) * norm_denominator);
       }
       pairs.push_back(PairTask{p, &pp, norm, bound});
-    };
-    if (state != nullptr) {
-      const size_t pattern_idx = static_cast<size_t>(p - all.data());
-      for (int64_t j : state->refinements[pattern_idx]) {
-        add_pair(all[static_cast<size_t>(j)]);
-      }
-    } else {
-      for (const GlobalPattern& pp : all) {
-        if (!pp.pattern.IsRefinementOf(p->pattern)) continue;
-        add_pair(pp);
-      }
     }
   }
   // Decreasing bound order raises the floor as early as possible. The sort
@@ -453,7 +467,11 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
     pools.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w) pools.emplace_back(config.top_k, &floor);
     std::vector<ExplainProfile> profiles(static_cast<size_t>(workers));
+    AggDataCache* cache = &shared->agg_cache;
 
+    // Workers build missing γ tables on demand. One that needs a table
+    // another worker is building waits for it: meanwhile the floor rises,
+    // so a question builds only the tables of pairs it actually scans.
     Status scored = pool_exec.ParallelFor(
         static_cast<int64_t>(pairs.size()), opts,
         [&](int worker, int64_t begin, int64_t end, StopToken* worker_stop) -> Status {
@@ -465,10 +483,12 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
               profile.num_pairs_pruned += 1;
               continue;
             }
-            CAPE_RETURN_IF_ERROR(EvaluatePair(
-                q, *pair.relevant, *pair.refinement, pair.norm, distance, config, cache,
-                prune_locals, i, &floor, &pools[static_cast<size_t>(worker)], &profile,
-                worker_stop));
+            CAPE_ASSIGN_OR_RETURN(TablePtr data,
+                                  cache->Get(AggKeyOf(pair.refinement->pattern), worker_stop));
+            CAPE_RETURN_IF_ERROR(EvaluatePair(q, pair, data.get(), distance, config,
+                                              prune_locals, i, &floor,
+                                              &pools[static_cast<size_t>(worker)], &profile,
+                                              worker_stop));
           }
           return Status::OK();
         });
@@ -492,6 +512,17 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
   return result;
 }
 
+/// A standalone generator call has no engine to keep a state warm, so it
+/// answers from a throwaway one over the caller's (borrowed) pattern set.
+Result<ExplainResult> ExplainOnce(const UserQuestion& q, const PatternSet& patterns,
+                                  const DistanceModel& distance, const ExplainConfig& config,
+                                  bool optimized) {
+  if (q.relation == nullptr) return Status::InvalidArgument("question has no relation");
+  const ExplainState state(q.relation,
+                           std::shared_ptr<const PatternSet>(std::shared_ptr<void>(), &patterns));
+  return state.Explain(q, distance, config, optimized);
+}
+
 /// EXPL-GEN-NAIVE (Algorithm 1).
 class NaiveExplainer final : public ExplanationGenerator {
  public:
@@ -500,8 +531,7 @@ class NaiveExplainer final : public ExplanationGenerator {
   Result<ExplainResult> Explain(const UserQuestion& q, const PatternSet& patterns,
                                 const DistanceModel& distance,
                                 const ExplainConfig& config) override {
-    return RunExplain(q, patterns, distance, config, /*optimized=*/false,
-                      /*state=*/nullptr);
+    return ExplainOnce(q, patterns, distance, config, /*optimized=*/false);
   }
 };
 
@@ -513,8 +543,7 @@ class OptimizedExplainer final : public ExplanationGenerator {
   Result<ExplainResult> Explain(const UserQuestion& q, const PatternSet& patterns,
                                 const DistanceModel& distance,
                                 const ExplainConfig& config) override {
-    return RunExplain(q, patterns, distance, config, /*optimized=*/true,
-                      /*state=*/nullptr);
+    return ExplainOnce(q, patterns, distance, config, /*optimized=*/true);
   }
 };
 
@@ -522,14 +551,52 @@ class OptimizedExplainer final : public ExplanationGenerator {
 
 namespace explain_internal {
 
-Result<ExplainResult> RunExplainWithState(const UserQuestion& q, const PatternSet& patterns,
-                                          const DistanceModel& distance,
-                                          const ExplainConfig& config, bool optimized,
-                                          SessionState* state) {
-  return RunExplain(q, patterns, distance, config, optimized, state);
+SharedState::SharedState(const Table& relation, const PatternSet& patterns)
+    : agg_cache(relation) {
+  // Definition 6 needs equal V, agg and A, so only patterns sharing that
+  // signature can refine each other: bucket by it (indices ascending), then
+  // test F' ⊇ F within the bucket.
+  const std::vector<GlobalPattern>& all = patterns.patterns();
+  std::map<std::tuple<uint64_t, AggFunc, int>, std::vector<int64_t>> buckets;
+  auto signature = [](const Pattern& p) {
+    return std::make_tuple(p.predictor_attrs.bits(), p.agg, p.agg_attr);
+  };
+  for (size_t j = 0; j < all.size(); ++j) {
+    buckets[signature(all[j].pattern)].push_back(static_cast<int64_t>(j));
+  }
+  refinements.resize(all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    for (int64_t j : buckets[signature(all[i].pattern)]) {
+      if (all[static_cast<size_t>(j)].pattern.IsRefinementOf(all[i].pattern)) {
+        refinements[i].push_back(j);
+      }
+    }
+  }
 }
 
 }  // namespace explain_internal
+
+ExplainState::ExplainState(TablePtr relation, std::shared_ptr<const PatternSet> patterns)
+    : relation_(std::move(relation)), patterns_(std::move(patterns)),
+      shared_(std::make_unique<explain_internal::SharedState>(*relation_, *patterns_)) {}
+
+// Out of line: SharedState is incomplete in the header (pimpl).
+ExplainState::~ExplainState() = default;
+
+Result<ExplainResult> ExplainState::Explain(const UserQuestion& question,
+                                            const DistanceModel& distance,
+                                            const ExplainConfig& config, bool optimized) const {
+  if (question.relation != relation_) {
+    // The γ tables are computed over relation_; serving another table from
+    // them would be silently wrong, so reject instead.
+    return Status::InvalidArgument(
+        "the explain state answers questions over one relation; this question targets "
+        "another table");
+  }
+  return RunExplain(question, *patterns_, shared_.get(), distance, config, optimized);
+}
+
+size_t ExplainState::num_agg_tables() const { return shared_->agg_cache.num_entries(); }
 
 std::unique_ptr<ExplanationGenerator> MakeNaiveExplainer() {
   return std::make_unique<NaiveExplainer>();

@@ -1,9 +1,9 @@
 #ifndef CAPE_EXPLAIN_EXPLAINER_INTERNAL_H_
 #define CAPE_EXPLAIN_EXPLAINER_INTERNAL_H_
 
+#include <map>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "common/annotations.h"
@@ -16,85 +16,86 @@
 
 namespace cape::explain_internal {
 
+/// Identity of one γ_{attrs, agg(A)}(R) table: a refinement pattern's
+/// F' ∪ V with its aggregate.
+struct AggKey {
+  uint64_t attrs = 0;
+  AggFunc agg = AggFunc::kCount;
+  int agg_attr = 0;
+
+  friend bool operator<(const AggKey& a, const AggKey& b) {
+    return std::tie(a.attrs, a.agg, a.agg_attr) < std::tie(b.attrs, b.agg, b.agg_attr);
+  }
+};
+
 /// Caches γ_{attrs, agg(A)}(R) tables shared by every (P, P') pair whose
-/// refinement has the same attribute set. Thread-safe: concurrent workers
-/// requesting the same key serialize on that entry (one computes, the rest
-/// reuse), while distinct keys compute in parallel. The tables depend only
-/// on the relation — never on the user question — so an ExplainSession
-/// keeps one instance alive across its whole batch.
+/// refinement has the same attribute set. Thread-safe: each key is built by
+/// one caller at a time, outside the lock, and a caller that finds its key
+/// mid-build waits for it, while distinct keys build in parallel. The
+/// tables depend only on the relation — never on the user question — so
+/// one instance lives in the shared explain state for as long as the
+/// relation and pattern set do.
 class AggDataCache {
  public:
   explicit AggDataCache(const Table& relation) : relation_(relation) {}
 
-  const Table& relation() const { return relation_; }
-
-  Result<TablePtr> Get(AttrSet attrs, AggFunc agg, int agg_attr, StopToken* stop)
-      CAPE_EXCLUDES(mu_) {
-    const std::string key = std::to_string(attrs.bits()) + "|" +
-                            std::to_string(static_cast<int>(agg)) + "|" +
-                            std::to_string(agg_attr);
-    std::shared_ptr<Entry> entry;
+  Result<TablePtr> Get(const AggKey& key, StopToken* stop) CAPE_EXCLUDES(mu_) {
     {
       MutexLock lock(mu_);
-      std::shared_ptr<Entry>& slot = cache_[key];
-      if (slot == nullptr) slot = std::make_shared<Entry>();
-      entry = slot;
+      Entry& entry = cache_[key];
+      while (entry.table == nullptr && entry.building) built_.Wait(mu_);
+      if (entry.table != nullptr) return entry.table;
+      entry.building = true;
     }
-    MutexLock lock(entry->mu);
-    if (entry->table != nullptr) return entry->table;
     AggregateSpec spec;
-    spec.func = agg;
-    spec.input_col = agg_attr;
+    spec.func = key.agg;
+    spec.input_col = key.agg_attr;
     spec.output_name = "agg";
+    Result<TablePtr> data =
+        GroupByAggregate(relation_, AttrSet(key.attrs).ToIndices(), {spec}, stop);
+    MutexLock lock(mu_);
+    Entry& entry = cache_[key];
+    entry.building = false;
     // A failed computation (deadline mid-aggregation) is not cached: the
-    // run is ending anyway, and a later retry must not see a poisoned slot.
-    CAPE_ASSIGN_OR_RETURN(TablePtr data,
-                          GroupByAggregate(relation_, attrs.ToIndices(), {spec}, stop));
-    entry->table = data;
+    // run is ending anyway, and a later caller builds the key afresh.
+    if (data.ok()) entry.table = *data;
+    built_.NotifyAll();
     return data;
   }
 
+  /// Built tables (a key whose build was stopped does not count).
   size_t num_entries() const CAPE_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return cache_.size();
+    size_t built = 0;
+    for (const auto& [key, entry] : cache_) built += entry.table != nullptr ? 1 : 0;
+    return built;
   }
 
  private:
   struct Entry {
-    Mutex mu;
-    TablePtr table CAPE_GUARDED_BY(mu);
+    TablePtr table;
+    bool building = false;
   };
 
   const Table& relation_;
   mutable Mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> cache_ CAPE_GUARDED_BY(mu_);
+  CondVar built_;
+  std::map<AggKey, Entry> cache_ CAPE_GUARDED_BY(mu_);
 };
 
-/// Question-independent work memoized across one ExplainSession's batch:
-/// the γ tables above and the refinement adjacency (for each pattern index,
-/// the indices — in enumeration order — of the patterns refining it, which
-/// the one-shot path rediscovers with an O(N_P) scan per relevant pattern
-/// on every question). Reusing the adjacency preserves the deterministic
-/// pair-list order, so session answers are byte-identical to one-shot
-/// Explain() calls.
-struct SessionState {
-  /// Relation the session is bound to (the first question's); later
-  /// questions must target the same table.
-  const Table* relation = nullptr;
-  std::unique_ptr<AggDataCache> agg_cache;
-  bool adjacency_built = false;
+/// The question-independent half of explanation generation behind the
+/// public ExplainState handle: the γ tables above and the refinement
+/// adjacency (for each pattern index, the indices — in enumeration order —
+/// of the patterns refining it). The adjacency is built once at
+/// construction and immutable afterwards, so readers need no lock; keeping
+/// enumeration order keeps the pair list, and hence every answer,
+/// byte-identical to a scan of the whole pattern set.
+struct SharedState {
+  SharedState(const Table& relation, const PatternSet& patterns);
+
+  AggDataCache agg_cache;
   std::vector<std::vector<int64_t>> refinements;
-
-  /// Cumulative counters across the session's questions.
-  int64_t questions_answered = 0;
 };
-
-/// Shared generator implementation (see explainer.cc). `state` may be
-/// nullptr (one-shot call, nothing memoized) or an ExplainSession's state.
-Result<ExplainResult> RunExplainWithState(const UserQuestion& q, const PatternSet& patterns,
-                                          const DistanceModel& distance,
-                                          const ExplainConfig& config, bool optimized,
-                                          SessionState* state);
 
 }  // namespace cape::explain_internal
 

@@ -195,10 +195,11 @@ void RequestScheduler::RunOne() {
     AcquireWriteGate();
     Response response = ExecuteAppend(pending);
     if (response.outcome == Outcome::kOk) {
-      // The append replaced the engine's pattern set; pooled sessions hold a
-      // snapshot of the old one. Drop them so later requests explain against
-      // the upgraded patterns. (No session is outstanding: sessions are only
-      // held under the read gate, which the write gate excludes.)
+      // The append replaced the engine's pattern set and explain state;
+      // pooled sessions hold the old ones. Drop them so later requests
+      // explain against the upgraded patterns. (No session is outstanding:
+      // sessions are only held under the read gate, which the write gate
+      // excludes.)
       MutexLock lock(mu_);
       free_sessions_.clear();
     }

@@ -44,9 +44,8 @@ struct SchedulerConfig {
   int degrade_queue_depth = 0;
   int degraded_top_k = 3;
 
-  /// Pooled ExplainSessions (each memoizes γ agg tables across the requests
-  /// it serves; one is held per executing request). <= 0 sizes to the pool's
-  /// worker count + 1.
+  /// Pooled ExplainSessions (all share the engine's explain state; one is
+  /// held per executing request). <= 0 sizes to the pool's worker count + 1.
   int num_sessions = 0;
 };
 

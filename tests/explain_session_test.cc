@@ -1,8 +1,8 @@
-// ExplainSession (DESIGN.md §11): batch serving over one pattern set with
-// memoized question-independent work. The contract under test is byte
-// equality — every session answer must match the one-shot Engine::Explain()
-// on the same question, because the memoized γ tables and refinement
-// adjacency only skip recomputation, never change candidate order.
+// ExplainSession (DESIGN.md §11): batch serving over the engine's shared
+// explain state. The contract under test is byte equality — every session
+// answer must match the one-shot Engine::Explain() on the same question,
+// because the memoized γ tables and refinement adjacency only skip
+// recomputation, never change candidate order.
 
 #include <gtest/gtest.h>
 
@@ -128,24 +128,32 @@ TEST(ExplainSessionTest, MemoizesAggTablesAcrossQuestions) {
   EXPECT_EQ(session->questions_answered(), 0);
   EXPECT_EQ(session->num_cached_agg_tables(), 0u);
 
-  ASSERT_TRUE(session->Explain(questions[0]).ok());
+  // The γ tables live in the engine's explain state, which one-shot
+  // Explain() and every session share: a one-shot answer warms the session.
+  ASSERT_TRUE(engine.Explain(questions[0]).ok());
   const size_t after_first = session->num_cached_agg_tables();
   EXPECT_GT(after_first, 0u);
-  EXPECT_EQ(session->questions_answered(), 1);
+  EXPECT_EQ(session->questions_answered(), 0);
 
-  // Re-answering the same question reuses every memoized γ table: the
-  // cache must not grow at all.
+  // Re-answering the same question in the session reuses every memoized γ
+  // table: the cache must not grow at all.
   ASSERT_TRUE(session->Explain(questions[0]).ok());
   EXPECT_EQ(session->num_cached_agg_tables(), after_first);
-  EXPECT_EQ(session->questions_answered(), 2);
+  EXPECT_EQ(session->questions_answered(), 1);
+
+  // A session opened now starts as warm as the engine.
+  auto second = engine.MakeExplainSession();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->num_cached_agg_tables(), after_first);
 
   // Different questions share the pattern-derived γ tables, so the cache
-  // grows sub-linearly: far fewer new entries than a fresh session built
-  // per question would compute.
+  // grows sub-linearly: far fewer new entries than a fresh state built per
+  // question would compute.
   for (size_t i = 1; i < questions.size(); ++i) {
     ASSERT_TRUE(session->Explain(questions[i]).ok());
   }
   EXPECT_LT(session->num_cached_agg_tables(), after_first * questions.size());
+  EXPECT_EQ(second->num_cached_agg_tables(), session->num_cached_agg_tables());
 }
 
 TEST(ExplainSessionTest, RejectsQuestionsOverADifferentRelation) {

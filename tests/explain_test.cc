@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "explain/baseline.h"
@@ -291,6 +292,26 @@ TEST(ExplainTest, EmptyPatternSetYieldsNoExplanations) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->explanations.empty());
   EXPECT_EQ(result->profile.num_relevant_patterns, 0);
+}
+
+TEST(ExplainTest, NonPositiveTopKIsInvalidArgument) {
+  auto table = Example5Table();
+  auto mined = MakeArpMiner()->Mine(*table, Example5MiningConfig());
+  ASSERT_TRUE(mined.ok());
+  UserQuestion q = Phi0(table);
+  DistanceModel distance = DistanceModel::MakeDefault(*table);
+  for (int top_k : {0, -1, std::numeric_limits<int>::min()}) {
+    ExplainConfig config;
+    config.top_k = top_k;
+    for (auto* make : {&MakeNaiveExplainer, &MakeOptimizedExplainer}) {
+      auto result = make()->Explain(q, mined->patterns, distance, config);
+      ASSERT_FALSE(result.ok()) << "top_k " << top_k;
+      EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status().ToString();
+    }
+    auto baseline = BaselineExplain(q, distance, config);
+    ASSERT_FALSE(baseline.ok()) << "top_k " << top_k;
+    EXPECT_TRUE(baseline.status().IsInvalidArgument()) << baseline.status().ToString();
+  }
 }
 
 TEST(ExplainTest, TopKLimitsOutput) {

@@ -63,6 +63,20 @@ TEST(ProtocolTest, ParseRequestLineRejectsMalformedInput) {
   EXPECT_FALSE(ParseRequestLine("[tenant=] ping").ok());
 }
 
+TEST(ProtocolTest, TopKOutsideInt32RangeIsRejected) {
+  // The scheduler narrows top_k to int; a value that would wrap to zero or
+  // a negative count must be refused while parsing, never reach Explain.
+  for (const char* line : {"[top_k=0] ping", "[top_k=-1] ping", "[top_k=2147483648] ping",
+                           "[top_k=4294967296] ping"}) {
+    auto parsed = ParseRequestLine(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << line;
+  }
+  auto largest = ParseRequestLine("[top_k=2147483647] ping");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->top_k, 2147483647);
+}
+
 TEST(ProtocolTest, RenderResponseShapes) {
   Response ok;
   ok.id = 7;
@@ -250,6 +264,13 @@ TEST_F(ServerTest, ExplainAnswersAreByteIdenticalAndRespectTopK) {
   Response capped = harness.Call(PlantedExplainLine("[id=2 top_k=1]"));
   ASSERT_EQ(capped.outcome, Outcome::kOk) << capped.error;
   EXPECT_EQ(CountScores(capped.payload_json), 1u);
+
+  // top_k beyond int32, in the header or as SQL TOP, is a clean error.
+  EXPECT_EQ(harness.Call(PlantedExplainLine("[id=3 top_k=4294967296]")).outcome,
+            Outcome::kError);
+  Response top = harness.Call(PlantedExplainLine("[id=4]") + " TOP 2147483648");
+  EXPECT_EQ(top.outcome, Outcome::kError);
+  EXPECT_NE(top.error.find("TOP"), std::string::npos) << top.error;
 }
 
 TEST_F(ServerTest, QueueFullRejectsWithOverloaded) {

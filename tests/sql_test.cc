@@ -148,6 +148,13 @@ TEST(ParserTest, ExplainWhyErrors) {
   EXPECT_FALSE(ParseExplainWhy("EXPLAIN WHY avg(x) IS LOW FOR a=1 FROM t").ok());
   EXPECT_FALSE(ParseExplainWhy("EXPLAIN WHY count(*) IS LOW FROM t").ok());
   EXPECT_FALSE(ParseExplainWhy("EXPLAIN WHY count(*) IS LOW FOR a=1 FROM t TOP 0").ok());
+  // TOP must fit the int the explainer takes: no wrap to 0 or negative.
+  EXPECT_FALSE(
+      ParseExplainWhy("EXPLAIN WHY count(*) IS LOW FOR a=1 FROM t TOP 2147483648").ok());
+  EXPECT_FALSE(
+      ParseExplainWhy("EXPLAIN WHY count(*) IS LOW FOR a=1 FROM t TOP 4294967296").ok());
+  EXPECT_TRUE(
+      ParseExplainWhy("EXPLAIN WHY count(*) IS LOW FOR a=1 FROM t TOP 2147483647").ok());
   EXPECT_FALSE(ParseExplainWhy("SELECT a FROM t").ok());
 }
 
