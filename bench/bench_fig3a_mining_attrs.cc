@@ -31,8 +31,6 @@ int main(int argc, char** argv) {
   json.AddConfig("dataset", "crime");
   json.AddConfig("num_rows", static_cast<int64_t>(10000));
   json.AddConfig("max_attrs", static_cast<int64_t>(max_attrs));
-  json.AddConfig("dictionary_kernels",
-                 static_cast<int64_t>(DictionaryKernelsEnabled() ? 1 : 0));
 
   std::printf("%-4s %12s %12s %12s %12s %10s\n", "A", "NAIVE(s)", "CUBE(s)",
               "SHARE-GRP(s)", "ARP-MINE(s)", "patterns");

@@ -1,12 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the substrate operators the
 // mining/explanation costs are built from: hash group-by, multi-key sort,
 // CUBE, selection, CSV ingest, regression fitting, and the chi-square CDF.
-// The *Legacy variants run the same operator with dictionary kernels
-// disabled, giving an in-binary A/B of the code-path win (DESIGN.md §10).
 //
 // `bench_micro_engine --smoke` skips benchmarking and instead runs a fast
-// correctness pass over the kernel paths (dictionary vs legacy output
-// equality, CSV quarantine hygiene); ctest wires this into tier-1.
+// correctness pass over the kernels (the fused pass equals its two-operator
+// definition, counts agree with selections, CSV quarantine hygiene); ctest
+// wires this into tier-1.
 
 #include <benchmark/benchmark.h>
 
@@ -34,32 +33,7 @@ TablePtr BenchTable(int64_t rows) {
   return table.ok() ? *table : nullptr;
 }
 
-/// Flips the dictionary-kernel switch for one benchmark run.
-class KernelModeGuard {
- public:
-  explicit KernelModeGuard(bool enabled) : saved_(DictionaryKernelsEnabled()) {
-    SetDictionaryKernelsEnabled(enabled);
-  }
-  ~KernelModeGuard() { SetDictionaryKernelsEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-/// Flips the block/morsel vectorized-kernel switch for one benchmark run.
-class VectorizedModeGuard {
- public:
-  explicit VectorizedModeGuard(bool enabled) : saved_(VectorizedKernelsEnabled()) {
-    SetVectorizedKernelsEnabled(enabled);
-  }
-  ~VectorizedModeGuard() { SetVectorizedKernelsEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-void RunGroupByAggregate(benchmark::State& state, bool dictionary) {
-  KernelModeGuard guard(dictionary);
+void BM_GroupByAggregate(benchmark::State& state) {
   auto table = BenchTable(state.range(0));
   for (auto _ : state) {
     auto result = GroupByAggregate(*table, std::vector<int>{0, 1, 2},
@@ -69,16 +43,9 @@ void RunGroupByAggregate(benchmark::State& state, bool dictionary) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_GroupByAggregate(benchmark::State& state) { RunGroupByAggregate(state, true); }
 BENCHMARK(BM_GroupByAggregate)->Arg(10000)->Arg(100000);
 
-void BM_GroupByAggregateLegacy(benchmark::State& state) {
-  RunGroupByAggregate(state, false);
-}
-BENCHMARK(BM_GroupByAggregateLegacy)->Arg(10000)->Arg(100000);
-
-void RunSortTable(benchmark::State& state, bool dictionary) {
-  KernelModeGuard guard(dictionary);
+void BM_SortTable(benchmark::State& state) {
   auto table = BenchTable(state.range(0));
   auto grouped = GroupByAggregate(*table, std::vector<int>{0, 1, 2},
                                   {AggregateSpec::CountStar("cnt")});
@@ -88,14 +55,9 @@ void RunSortTable(benchmark::State& state, bool dictionary) {
   }
 }
 
-void BM_SortTable(benchmark::State& state) { RunSortTable(state, true); }
 BENCHMARK(BM_SortTable)->Arg(10000)->Arg(100000);
 
-void BM_SortTableLegacy(benchmark::State& state) { RunSortTable(state, false); }
-BENCHMARK(BM_SortTableLegacy)->Arg(10000)->Arg(100000);
-
-void RunCube(benchmark::State& state, bool dictionary) {
-  KernelModeGuard guard(dictionary);
+void BM_Cube(benchmark::State& state) {
   auto table = BenchTable(10000);
   CubeOptions options;
   options.min_group_size = 2;
@@ -106,14 +68,9 @@ void RunCube(benchmark::State& state, bool dictionary) {
   }
 }
 
-void BM_Cube(benchmark::State& state) { RunCube(state, true); }
 BENCHMARK(BM_Cube)->Arg(2)->Arg(3)->Arg(4);
 
-void BM_CubeLegacy(benchmark::State& state) { RunCube(state, false); }
-BENCHMARK(BM_CubeLegacy)->Arg(3);
-
-void RunFilterEquals(benchmark::State& state, bool dictionary) {
-  KernelModeGuard guard(dictionary);
+void BM_FilterEquals(benchmark::State& state) {
   auto table = BenchTable(state.range(0));
   for (auto _ : state) {
     auto result = FilterEquals(*table, {{0, Value::String("Battery")}});
@@ -122,15 +79,11 @@ void RunFilterEquals(benchmark::State& state, bool dictionary) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_FilterEquals(benchmark::State& state) { RunFilterEquals(state, true); }
 BENCHMARK(BM_FilterEquals)->Arg(10000)->Arg(100000);
-
-void BM_FilterEqualsLegacy(benchmark::State& state) { RunFilterEquals(state, false); }
-BENCHMARK(BM_FilterEqualsLegacy)->Arg(10000)->Arg(100000);
 
 void BM_FilterEqualsAbsent(benchmark::State& state) {
   // Condition value outside every dictionary: the kernel proves emptiness
-  // without a scan (legacy mode scans the whole table for zero matches).
+  // without a scan.
   auto table = BenchTable(state.range(0));
   for (auto _ : state) {
     auto result = FilterEquals(*table, {{0, Value::String("__absent__")}});
@@ -140,15 +93,9 @@ void BM_FilterEqualsAbsent(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterEqualsAbsent)->Arg(100000);
 
-// --- Block/morsel vectorized kernel A/Bs (DESIGN.md §14). The *RowAtATime
-// variants run the identical query with SetVectorizedKernelsEnabled(false),
-// so each pair isolates one kernel's win over the legacy scan.
-
-void RunFilterKernel(benchmark::State& state, bool vectorized) {
-  // Pure selection kernel: count matching rows without materializing — the
-  // existence/cardinality probe shape. Vectorized mode counts off the block
-  // masks; legacy mode scans with RowEqualityMatcher.
-  VectorizedModeGuard guard(vectorized);
+void BM_FilterKernel(benchmark::State& state) {
+  // Pure selection kernel: count matching rows off the block masks without
+  // materializing — the existence/cardinality probe shape.
   auto table = BenchTable(state.range(0));
   for (auto _ : state) {
     auto result = CountFilterMatches(*table, {{0, Value::String("Battery")}});
@@ -156,41 +103,11 @@ void RunFilterKernel(benchmark::State& state, bool vectorized) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_FilterKernel(benchmark::State& state) { RunFilterKernel(state, true); }
 BENCHMARK(BM_FilterKernel)->Arg(10000)->Arg(100000);
 
-void BM_FilterKernelRowAtATime(benchmark::State& state) {
-  RunFilterKernel(state, false);
-}
-BENCHMARK(BM_FilterKernelRowAtATime)->Arg(10000)->Arg(100000);
-
-void RunGroupBuildKernel(benchmark::State& state, bool vectorized) {
-  // Dense group-key build + aggregate update over the whole table: the
-  // vectorized path packs mixed-radix keys block-at-a-time.
-  VectorizedModeGuard guard(vectorized);
-  auto table = BenchTable(state.range(0));
-  for (auto _ : state) {
-    auto result = GroupByAggregate(*table, std::vector<int>{0, 1, 2},
-                                   {AggregateSpec::CountStar("cnt")});
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_GroupBuildKernel(benchmark::State& state) { RunGroupBuildKernel(state, true); }
-BENCHMARK(BM_GroupBuildKernel)->Arg(10000)->Arg(100000);
-
-void BM_GroupBuildKernelRowAtATime(benchmark::State& state) {
-  RunGroupBuildKernel(state, false);
-}
-BENCHMARK(BM_GroupBuildKernelRowAtATime)->Arg(10000)->Arg(100000);
-
-void RunFusedFilterGroupAggregate(benchmark::State& state, bool vectorized) {
+void BM_FusedFilterGroupAggregate(benchmark::State& state) {
   // The retrieval-query shape γ_{V,agg}(σ_{F=f}(R)) the miners and explainers
-  // issue per fragment. Vectorized mode fuses the pass; the legacy mode is
-  // the materializing FilterEquals → GroupByAggregate composition.
-  VectorizedModeGuard guard(vectorized);
+  // issue per fragment, in one fused pass.
   auto table = BenchTable(state.range(0));
   for (auto _ : state) {
     auto result = FilterGroupAggregate(*table, {{0, Value::String("Battery")}},
@@ -200,16 +117,7 @@ void RunFusedFilterGroupAggregate(benchmark::State& state, bool vectorized) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_FusedFilterGroupAggregate(benchmark::State& state) {
-  RunFusedFilterGroupAggregate(state, true);
-}
 BENCHMARK(BM_FusedFilterGroupAggregate)->Arg(10000)->Arg(100000);
-
-void BM_FusedFilterGroupAggregateComposed(benchmark::State& state) {
-  RunFusedFilterGroupAggregate(state, false);
-}
-BENCHMARK(BM_FusedFilterGroupAggregateComposed)->Arg(10000)->Arg(100000);
 
 void BM_CsvIngest(benchmark::State& state) {
   // Round-trips the generated table through CSV text so the benchmark
@@ -278,63 +186,32 @@ int RunSmoke() {
   check(table != nullptr, "generate crime table");
   if (table == nullptr) return 1;
 
-  // Dictionary and legacy kernels must produce byte-identical operator
-  // output (the same invariant determinism_test pins for the full pipeline).
-  std::string grouped[2], sorted[2], filtered[2], cubed[2], distinct[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    KernelModeGuard guard(mode == 0);
-    auto g = GroupByAggregate(*table, std::vector<int>{0, 1, 2},
-                              {AggregateSpec::CountStar("cnt")});
-    auto s = g.ok() ? SortTable(**g, {SortKey{0, true}, SortKey{1, false}})
-                    : Result<TablePtr>(g.status());
-    auto f = FilterEquals(*table, {{0, Value::String("Battery")}, {1, Value::String("Street")}});
-    CubeOptions copts;
-    copts.min_group_size = 1;
-    copts.max_group_size = 2;
-    auto c = Cube(*table, {0, 1, 2}, {AggregateSpec::CountStar("cnt")}, copts);
-    auto d = ProjectDistinct(*table, {0, 1});
-    if (!g.ok() || !s.ok() || !f.ok() || !c.ok() || !d.ok()) {
-      check(false, "operators run without error");
-      return 1;
-    }
-    grouped[mode] = WriteCsvString(**g);
-    sorted[mode] = WriteCsvString(**s);
-    filtered[mode] = WriteCsvString(**f);
-    cubed[mode] = WriteCsvString(**c);
-    distinct[mode] = WriteCsvString(**d);
+  // Every operator runs, and the fused pass equals its two-operator
+  // definition (the full reference-evaluator oracle lives in
+  // random_equivalence_test).
+  const std::vector<std::pair<int, Value>> conditions = {{0, Value::String("Battery")}};
+  auto g = GroupByAggregate(*table, std::vector<int>{0, 1, 2},
+                            {AggregateSpec::CountStar("cnt")});
+  auto s = g.ok() ? SortTable(**g, {SortKey{0, true}, SortKey{1, false}})
+                  : Result<TablePtr>(g.status());
+  auto f = FilterEquals(*table, conditions);
+  CubeOptions copts;
+  copts.min_group_size = 1;
+  copts.max_group_size = 2;
+  auto c = Cube(*table, {0, 1, 2}, {AggregateSpec::CountStar("cnt")}, copts);
+  auto d = ProjectDistinct(*table, {0, 1});
+  auto fused = FilterGroupAggregate(*table, conditions, std::vector<int>{1, 2},
+                                    {AggregateSpec::CountStar("cnt")});
+  auto n = CountFilterMatches(*table, conditions);
+  if (!g.ok() || !s.ok() || !f.ok() || !c.ok() || !d.ok() || !fused.ok() || !n.ok()) {
+    check(false, "operators run without error");
+    return 1;
   }
-  check(grouped[0] == grouped[1], "group-by: dictionary == legacy");
-  check(sorted[0] == sorted[1], "sort: dictionary == legacy");
-  check(filtered[0] == filtered[1], "filter: dictionary == legacy");
-  check(cubed[0] == cubed[1], "cube: dictionary == legacy");
-  check(distinct[0] == distinct[1], "distinct: dictionary == legacy");
-
-  // Vectorized and row-at-a-time kernels must also produce byte-identical
-  // output, and the fused pass must equal its two-operator definition.
-  std::string vec_filtered[2], vec_grouped[2], vec_fused[2];
-  int64_t vec_count[2] = {0, 0};
-  for (int mode = 0; mode < 2; ++mode) {
-    VectorizedModeGuard guard(mode == 0);
-    const std::vector<std::pair<int, Value>> conditions = {{0, Value::String("Battery")}};
-    auto f = FilterEquals(*table, conditions);
-    auto g = GroupByAggregate(*table, std::vector<int>{0, 1, 2},
-                              {AggregateSpec::CountStar("cnt")});
-    auto fused = FilterGroupAggregate(*table, conditions, std::vector<int>{1, 2},
-                                      {AggregateSpec::CountStar("cnt")});
-    auto n = CountFilterMatches(*table, conditions);
-    if (!f.ok() || !g.ok() || !fused.ok() || !n.ok()) {
-      check(false, "vectorized kernels run without error");
-      return 1;
-    }
-    vec_filtered[mode] = WriteCsvString(**f);
-    vec_grouped[mode] = WriteCsvString(**g);
-    vec_fused[mode] = WriteCsvString(**fused);
-    vec_count[mode] = *n;
-  }
-  check(vec_filtered[0] == vec_filtered[1], "filter: vectorized == row-at-a-time");
-  check(vec_grouped[0] == vec_grouped[1], "group-by: vectorized == row-at-a-time");
-  check(vec_fused[0] == vec_fused[1], "fused filter+group: vectorized == composed");
-  check(vec_count[0] == vec_count[1], "count probe: vectorized == row-at-a-time");
+  auto composed = GroupByAggregate(**f, std::vector<int>{1, 2},
+                                   {AggregateSpec::CountStar("cnt")});
+  check(composed.ok() && WriteCsvString(**fused) == WriteCsvString(**composed),
+        "fused filter+group == filter then group");
+  check(*n == (*f)->num_rows(), "count probe == filtered row count");
 
   // Absent-value selections short-circuit to the same (empty) answer.
   auto absent = FilterEquals(*table, {{0, Value::String("__absent__")}});

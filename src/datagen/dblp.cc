@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/mutex.h"
 
 namespace cape {
 
@@ -23,6 +24,17 @@ constexpr int kVenuePoolSize = static_cast<int>(sizeof(kVenuePool) / sizeof(kVen
 /// is what makes venue-affinity patterns (and the ICDE-vs-SIGKDD story of
 /// Example 1) possible.
 int VenueCommunity(int venue_index) { return venue_index % 3; }
+
+/// std::poisson_distribution calls lgamma, which writes glibc's global
+/// `signgam`, so generators running on several threads race on it. Draws
+/// serialize on this lock; a draw depends only on the caller's engine and
+/// rate, so the generated rows are unchanged.
+int DrawPoisson(double rate, std::mt19937_64& rng) {
+  static Mutex mu;
+  MutexLock lock(mu);
+  std::poisson_distribution<int> pubs(rate);
+  return pubs(rng);
+}
 
 /// Per-(venue, year) publication counts of the planted running-example
 /// author. Baselines with explicit overrides engineered so that:
@@ -128,8 +140,7 @@ Result<TablePtr> GenerateDblp(const DblpOptions& options) {
     for (int year = career_begin; year <= career_end && table->num_rows() < options.num_rows;
          ++year) {
       const double rate = base_rate * (1.0 + growth * (year - career_begin));
-      std::poisson_distribution<int> pubs(rate);
-      const int n = pubs(rng);
+      const int n = DrawPoisson(rate, rng);
       for (int i = 0; i < n && table->num_rows() < options.num_rows; ++i) {
         int venue_index;
         const double roll = unit(rng);

@@ -275,8 +275,8 @@ Status EvaluatePair(const UserQuestion& q, const PairTask& pair, const Table* da
   for (size_t i = 0; i < f_positions.size(); ++i) {
     f_conditions.emplace_back(f_positions[i], t_f[i]);
   }
-  const RowEqualityMatcher f_matcher(*data, f_conditions);
-  if (f_matcher.never_matches()) return Status::OK();  // no tuple has t'[F] = t[F]
+  const BlockPredicate f_block(*data, f_conditions);
+  if (f_block.never_matches()) return Status::OK();  // no tuple has t'[F] = t[F]
 
   std::vector<std::pair<int, Value>> t_conditions;
   if (same_schema) {
@@ -299,8 +299,7 @@ Status EvaluatePair(const UserQuestion& q, const PairTask& pair, const Table* da
 
   std::string fragment_key;  // reused across rows; same bytes as EncodeRowKey
   // Conditions (3) and (5) plus candidate emission for one row that already
-  // passed condition (4)'s F-match. Shared verbatim by the block-at-a-time
-  // scan and the legacy row scan, so both produce identical candidates.
+  // passed condition (4)'s F-match (the block scan below).
   auto score_row = [&](int64_t row) {
     // Condition (4): t' != t when over the same schema.
     if (check_same_tuple && t_matcher.Matches(row)) return;
@@ -357,33 +356,22 @@ Status EvaluatePair(const UserQuestion& q, const PairTask& pair, const Table* da
     pool->Add(std::move(e), CandidateRank{pair_rank, row});
   };
 
-  if (VectorizedKernelsEnabled()) {
-    // Condition (4)'s F-match evaluates block-at-a-time into a byte mask;
-    // the scalar scoring above runs only on surviving rows. Candidate order
-    // follows ascending rows either way, so ranks are unchanged.
-    const BlockPredicate f_block(*data, f_conditions);
-    if (f_block.never_matches()) return Status::OK();
-    const int64_t n = data->num_rows();
+  // Condition (4)'s F-match evaluates block-at-a-time into a byte mask;
+  // the scalar scoring above runs only on surviving rows, in ascending row
+  // order, so candidate ranks follow the rows.
+  return ScanChunks(*data, stop, [&](const PageView& view) -> Status {
     uint8_t mask[kKernelBlockSize];
-    for (int64_t b = 0; b < n; b += kKernelBlockSize) {
+    for (int b = 0; b < view.row_count; b += static_cast<int>(kKernelBlockSize)) {
       CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-      const int bn = static_cast<int>(std::min<int64_t>(kKernelBlockSize, n - b));
+      const int bn = std::min<int>(static_cast<int>(kKernelBlockSize), view.row_count - b);
       profile->num_tuples_checked += bn;
-      f_block.EvalBlock(b, bn, mask);
+      f_block.EvalChunk(view.cols, b, bn, mask);
       for (int i = 0; i < bn; ++i) {
-        if (mask[i] != 0) score_row(b + i);
+        if (mask[i] != 0) score_row(view.row_begin + b + i);
       }
     }
     return Status::OK();
-  }
-  for (int64_t row = 0; row < data->num_rows(); ++row) {
-    CAPE_RETURN_IF_STOPPED(stop);
-    profile->num_tuples_checked += 1;
-    // Condition (4): t'[F] = t[F].
-    if (!f_matcher.Matches(row)) continue;
-    score_row(row);
-  }
-  return Status::OK();
+  });
 }
 
 /// Shared implementation of both generators (Section 3), for one-shot and

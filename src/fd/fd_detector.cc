@@ -41,7 +41,7 @@ Result<int64_t> FdDetector::CountGroups(const Table& table, AttrSet g, StopToken
   // Single string attribute: the distinct count is a bitmap over dictionary
   // codes — no key encoding or hashing at all. This is the dominant shape
   // (level-1 FD probes run once per attribute).
-  if (DictionaryKernelsEnabled() && cols.size() == 1 &&
+  if (cols.size() == 1 &&
       table.column(cols[0]).type() == DataType::kString) {
     const Column& col = table.column(cols[0]);
     std::vector<uint8_t> seen(static_cast<size_t>(col.dict_size()), 0);

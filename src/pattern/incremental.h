@@ -57,7 +57,7 @@ struct MaintenanceStats {
 /// Invariant: after any successful Absorb, Finalize() is byte-identical to
 /// running any of the from-scratch miners on the current table with the same
 /// config (random_equivalence_test proves this across seeds, append
-/// schedules, storage toggles, and thread counts). The equivalence holds
+/// schedules, resident and paged scratch mines, and thread counts). The equivalence holds
 /// because every ingredient reuses the exact batch code path: group states
 /// extend the committed AggState fold sequentially (never merging partial
 /// sums), fragment cells sort by the same Value ordering SortTable uses, and

@@ -1,6 +1,7 @@
 #include "relational/column.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <unordered_set>
 
@@ -86,9 +87,15 @@ void Column::AppendNull() {
   ++null_count_;
 }
 
+void Column::PushInt64(int64_t v) {
+  int64_min_ = std::min(int64_min_, v);
+  int64_max_ = std::max(int64_max_, v);
+  int64_data_.push_back(v);
+}
+
 void Column::AppendInt64(int64_t v) {
   CAPE_DCHECK(type_ == DataType::kInt64);
-  int64_data_.push_back(v);
+  PushInt64(v);
   validity_.push_back(1);
 }
 
@@ -159,69 +166,76 @@ double Column::GetNumeric(int64_t row) const {
   return 0.0;
 }
 
-void Column::AppendFrom(const Column& src, int64_t row) {
+template <typename Index>
+void Column::AppendRows(const Column& src, const ColumnChunk& chunk, const Index* rows,
+                        size_t n, std::vector<int32_t>* code_map) {
   CAPE_DCHECK(src.type_ == type_);
-  if (src.IsNull(row)) {
-    AppendNull();
-    return;
+  // Gathers into pre-grown arrays. NULL slots hold 0 / 0.0 / kNullCode in
+  // every chunk, so copying them stores exactly what AppendNull would.
+  const size_t base = validity_.size();
+  validity_.resize(base + n);
+  uint8_t* valid = validity_.data() + base;
+  int64_t nulls = 0;
+  for (size_t j = 0; j < n; ++j) {
+    valid[j] = chunk.validity[static_cast<size_t>(rows[j])];
+    nulls += 1 - valid[j];
   }
+  null_count_ += nulls;
   switch (type_) {
-    case DataType::kInt64:
-      int64_data_.push_back(src.int64_data_[static_cast<size_t>(row)]);
-      break;
-    case DataType::kDouble:
-      double_data_.push_back(src.double_data_[static_cast<size_t>(row)]);
-      break;
-    case DataType::kString:
-      codes_.push_back(
-          InternString(src.dict_[static_cast<size_t>(src.codes_[static_cast<size_t>(row)])]));
-      break;
-  }
-  validity_.push_back(1);
-}
-
-void Column::AppendManyFrom(const Column& src, const std::vector<int64_t>& rows) {
-  CAPE_DCHECK(src.type_ == type_);
-  switch (type_) {
-    case DataType::kInt64:
-      // analyzer:allow-next-line(cancellation) ingestion primitive; callers batch
-      for (int64_t row : rows) {
-        const uint8_t valid = src.validity_[static_cast<size_t>(row)];
-        int64_data_.push_back(src.int64_data_[static_cast<size_t>(row)]);
-        validity_.push_back(valid);
-        null_count_ += 1 - valid;
+    case DataType::kInt64: {
+      int64_data_.resize(base + n);
+      int64_t* out = int64_data_.data() + base;
+      int64_t lo = int64_min_;
+      int64_t hi = int64_max_;
+      for (size_t j = 0; j < n; ++j) {
+        const int64_t v = chunk.i64[static_cast<size_t>(rows[j])];
+        out[j] = v;
+        lo = std::min(lo, valid[j] != 0 ? v : lo);
+        hi = std::max(hi, valid[j] != 0 ? v : hi);
       }
+      int64_min_ = lo;
+      int64_max_ = hi;
       return;
-    case DataType::kDouble:
-      // analyzer:allow-next-line(cancellation) ingestion primitive; callers batch
-      for (int64_t row : rows) {
-        const uint8_t valid = src.validity_[static_cast<size_t>(row)];
-        double_data_.push_back(src.double_data_[static_cast<size_t>(row)]);
-        validity_.push_back(valid);
-        null_count_ += 1 - valid;
-      }
+    }
+    case DataType::kDouble: {
+      double_data_.resize(base + n);
+      double* out = double_data_.data() + base;
+      for (size_t j = 0; j < n; ++j) out[j] = chunk.f64[static_cast<size_t>(rows[j])];
       return;
+    }
     case DataType::kString: {
       // Memoized src->dst code translation: each distinct source code pays
       // one hash lookup, every further occurrence is a vector read.
-      std::vector<int32_t> code_map(src.dict_.size(), kNullCode);
-      // analyzer:allow-next-line(cancellation) ingestion primitive; callers batch
-      for (int64_t row : rows) {
-        const int32_t src_code = src.codes_[static_cast<size_t>(row)];
+      if (code_map != nullptr && code_map->size() != static_cast<size_t>(src.dict_size())) {
+        code_map->assign(static_cast<size_t>(src.dict_size()), kNullCode);
+      }
+      codes_.resize(base + n);
+      int32_t* out = codes_.data() + base;
+      for (size_t j = 0; j < n; ++j) {
+        const int32_t src_code = chunk.codes[static_cast<size_t>(rows[j])];
         if (src_code < 0) {
-          codes_.push_back(kNullCode);
-          validity_.push_back(0);
-          ++null_count_;
-          continue;
+          out[j] = kNullCode;
+        } else if (code_map == nullptr) {
+          out[j] = InternString(src.dict_[static_cast<size_t>(src_code)]);
+        } else {
+          int32_t& dst_code = (*code_map)[static_cast<size_t>(src_code)];
+          if (dst_code < 0) dst_code = InternString(src.dict_[static_cast<size_t>(src_code)]);
+          out[j] = dst_code;
         }
-        int32_t& dst_code = code_map[static_cast<size_t>(src_code)];
-        if (dst_code < 0) dst_code = InternString(src.dict_[static_cast<size_t>(src_code)]);
-        codes_.push_back(dst_code);
-        validity_.push_back(1);
       }
       return;
     }
   }
+}
+
+template void Column::AppendRows<int>(const Column&, const ColumnChunk&, const int*, size_t,
+                                      std::vector<int32_t>*);
+template void Column::AppendRows<int64_t>(const Column&, const ColumnChunk&, const int64_t*,
+                                          size_t, std::vector<int32_t>*);
+
+void Column::AppendManyFrom(const Column& src, const std::vector<int64_t>& rows) {
+  std::vector<int32_t> code_map;
+  AppendRows(src, src.Slice(0), rows.data(), rows.size(), &code_map);
 }
 
 int64_t Column::CountDistinct() const {
@@ -276,48 +290,70 @@ void Column::SetPagedStats(int64_t null_count, Value min, Value max) {
   paged_max_ = std::move(max);
 }
 
+void Column::ShrinkToFit() {
+  int64_data_.shrink_to_fit();
+  double_data_.shrink_to_fit();
+  codes_.shrink_to_fit();
+  validity_.shrink_to_fit();
+}
+
 void Column::ClearRowsKeepDict() {
   int64_data_.clear();
   double_data_.clear();
   codes_.clear();
   validity_.clear();
   null_count_ = 0;
+  int64_min_ = std::numeric_limits<int64_t>::max();
+  int64_max_ = std::numeric_limits<int64_t>::min();
 }
 
-Value Column::Min() const {
-  if (has_paged_stats_) return paged_min_;
-  if (type_ == DataType::kString) {
-    const std::string* best = nullptr;
-    for (const std::string& s : dict_) {
-      if (best == nullptr || s < *best) best = &s;
-    }
-    return best == nullptr ? Value::Null() : Value::String(*best);
+ColumnChunk Column::Slice(int64_t begin) const {
+  const auto b = static_cast<size_t>(begin);
+  ColumnChunk ch;
+  ch.validity = validity_.data() + b;
+  switch (type_) {
+    case DataType::kInt64:
+      ch.i64 = int64_data_.data() + b;
+      break;
+    case DataType::kDouble:
+      ch.f64 = double_data_.data() + b;
+      break;
+    case DataType::kString:
+      ch.codes = codes_.data() + b;
+      break;
   }
-  Value best = Value::Null();
-  for (int64_t i = 0; i < size(); ++i) {
-    if (IsNull(i)) continue;
-    Value v = GetValue(i);
-    if (best.is_null() || v < best) best = std::move(v);
-  }
-  return best;
+  ch.null_count = null_count_;
+  return ch;
 }
 
-Value Column::Max() const {
-  if (has_paged_stats_) return paged_max_;
-  if (type_ == DataType::kString) {
-    const std::string* best = nullptr;
-    for (const std::string& s : dict_) {
-      if (best == nullptr || *best < s) best = &s;
+Value Column::Extreme(bool want_max) const {
+  if (has_paged_stats_) return want_max ? paged_max_ : paged_min_;
+  switch (type_) {
+    case DataType::kInt64:
+      if (null_count_ == size()) return Value::Null();
+      return Value::Int64(want_max ? int64_max_ : int64_min_);
+    case DataType::kDouble: {
+      // Value::Compare's numeric rule is a plain < on doubles, so the typed
+      // scan keeps the first of equal (or NaN-incomparable) values.
+      bool any = false;
+      double best = 0.0;
+      for (size_t i = 0; i < double_data_.size(); ++i) {
+        if (validity_[i] == 0) continue;
+        const double v = double_data_[i];
+        if (!any || (want_max ? best < v : v < best)) best = v;
+        any = true;
+      }
+      return any ? Value::Double(best) : Value::Null();
     }
-    return best == nullptr ? Value::Null() : Value::String(*best);
+    case DataType::kString: {
+      const std::string* best = nullptr;
+      for (const std::string& s : dict_) {
+        if (best == nullptr || (want_max ? *best < s : s < *best)) best = &s;
+      }
+      return best == nullptr ? Value::Null() : Value::String(*best);
+    }
   }
-  Value best = Value::Null();
-  for (int64_t i = 0; i < size(); ++i) {
-    if (IsNull(i)) continue;
-    Value v = GetValue(i);
-    if (best.is_null() || best < v) best = std::move(v);
-  }
-  return best;
+  return Value::Null();
 }
 
 void Column::HashContent(Fnv64* h) const {

@@ -2,6 +2,7 @@
 #define CAPE_RELATIONAL_COLUMN_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -11,6 +12,23 @@
 #include "relational/value.h"
 
 namespace cape {
+
+/// A run of one column's rows as raw arrays, laid out exactly like the
+/// Column arrays below: the kernels (kernels.h) index these pointers with
+/// chunk-local row offsets. A chunk is either a zero-copy slice of a
+/// resident Column (Column::Slice) or one column of a pinned heap-file page
+/// (storage/heap_file.h). Pointers for the non-matching types are null;
+/// `validity` is always populated. NULL slots hold 0 / 0.0 / kNullCode.
+struct ColumnChunk {
+  const uint8_t* validity = nullptr;
+  const int64_t* i64 = nullptr;
+  const double* f64 = nullptr;
+  const int32_t* codes = nullptr;
+  /// NULL slots the chunk may hold: 0 proves it holds none, which lets the
+  /// kernels take their no-null fast paths. Pages count their own slots; a
+  /// resident slice carries its column's total.
+  int64_t null_count = 0;
+};
 
 /// Columnar storage for one attribute: a typed value vector plus a validity
 /// vector. Appending a Value of the wrong type is a TypeError; NULL appends
@@ -72,13 +90,9 @@ class Column {
   /// no-null fast path (skip the validity tests entirely) when it is 0.
   int64_t null_count() const { return null_count_; }
 
-  /// Raw array views for the block kernels (kernels.cc). Valid for
-  /// [0, size()); the int64/double/codes arrays are only meaningful for the
-  /// matching column type. NULL slots hold 0 / 0.0 / kNullCode respectively.
-  const uint8_t* validity_data() const { return validity_.data(); }
-  const int64_t* int64_data() const { return int64_data_.data(); }
-  const double* double_data() const { return double_data_.data(); }
-  const int32_t* codes_data() const { return codes_.data(); }
+  /// Zero-copy view of rows [begin, size()) for the kernels (kernels.h).
+  /// Valid until the next append; row i of the chunk is row begin + i here.
+  ColumnChunk Slice(int64_t begin) const;
 
   /// Number of interned dictionary entries (string columns only).
   int64_t dict_size() const { return static_cast<int64_t>(dict_.size()); }
@@ -107,14 +121,18 @@ class Column {
   /// their own placeholder for non-numeric columns.
   double GetNumeric(int64_t row) const;
 
-  /// Appends `src`'s value at `row` without boxing through Value. Both
-  /// columns must have the same type (CHECKed).
-  void AppendFrom(const Column& src, int64_t row);
+  /// Appends rows rows[0, n) of `chunk`, a chunk of `src`, without boxing
+  /// through Value; `src` (same type, CHECKed) resolves the chunk's string
+  /// codes. A `code_map` memoizes the src->dst code translation (pass an
+  /// empty vector, and the same one again for further rows of `src`), so a
+  /// large selection interns each distinct string once instead of once per
+  /// row; null interns every string cell.
+  /// Instantiated for int (chunk-local) and int64_t (resident) indices.
+  template <typename Index>
+  void AppendRows(const Column& src, const ColumnChunk& chunk, const Index* rows, size_t n,
+                  std::vector<int32_t>* code_map);
 
-  /// Bulk AppendFrom for all of `rows`. For string columns the src->dst code
-  /// translation is memoized per distinct code, so materializing a large
-  /// selection or sort permutation interns each distinct string once instead
-  /// of hashing it per row.
+  /// AppendRows for `rows` of the resident column `src`.
   void AppendManyFrom(const Column& src, const std::vector<int64_t>& rows);
 
   /// Number of distinct non-null values. O(1) for string columns (the
@@ -122,9 +140,11 @@ class Column {
   int64_t CountDistinct() const;
 
   /// Minimum / maximum as Values; Null when the column is all-null/empty.
-  /// String columns scan the dictionary (O(d)) instead of the rows.
-  Value Min() const;
-  Value Max() const;
+  /// String columns scan the dictionary (O(d)) instead of the rows, int64
+  /// columns answer from a range kept on every append (O(1)), and double
+  /// columns run one typed scan.
+  Value Min() const { return Extreme(/*want_max=*/false); }
+  Value Max() const { return Extreme(/*want_max=*/true); }
 
   /// Folds this column's full content — type, validity bitmap, typed data,
   /// and (for string columns) the dictionary plus per-row codes — into `h`.
@@ -163,11 +183,21 @@ class Column {
   /// dictionary persists while rows are flushed.
   void ClearRowsKeepDict();
 
+  /// Releases row-array capacity beyond size(). Tables adopting columns
+  /// grown append by append (Table::FromColumns) call it, so a result kept
+  /// for a whole mining run costs its rows, not its growth slack.
+  void ShrinkToFit();
+
  private:
   static const std::string& EmptyString();
 
   /// Interns `v`, returning its code (existing or freshly assigned).
   int32_t InternString(std::string v);
+
+  /// Pushes one valid int64 value and widens the kept range.
+  void PushInt64(int64_t v);
+
+  Value Extreme(bool want_max) const;
 
   DataType type_;
   std::vector<int64_t> int64_data_;
@@ -179,6 +209,10 @@ class Column {
   std::vector<int32_t> codes_;
   std::vector<std::string> dict_;
   std::unordered_map<std::string, int32_t> dict_index_;
+  // Range of the valid int64 values (int64 columns only), kept on append;
+  // empty (min > max) until the first valid value.
+  int64_t int64_min_ = std::numeric_limits<int64_t>::max();
+  int64_t int64_max_ = std::numeric_limits<int64_t>::min();
   // File-global stats for paged (non-resident) columns; see SetPagedStats.
   bool has_paged_stats_ = false;
   Value paged_min_ = Value::Null();

@@ -1,11 +1,19 @@
 #ifndef CAPE_RELATIONAL_KERNELS_H_
 #define CAPE_RELATIONAL_KERNELS_H_
 
+// The relational kernels (DESIGN.md §14): every σ/γ scan in the engine is
+// written once, over ColumnChunk views fed by one chunk driver
+// (ScanChunks). A resident table yields zero-copy slices of its Column
+// arrays; a non-resident table (storage/paged_table.h) yields pinned heap-
+// file pages. "Paged vs resident" is only which chunk source a table has.
+
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/macros.h"
 #include "common/result.h"
 #include "relational/operators.h"
 #include "relational/page_source.h"
@@ -13,40 +21,71 @@
 
 namespace cape {
 
-/// Block/morsel width of the vectorized kernels (DESIGN.md §14): scans
-/// proceed in fixed-size runs of this many rows, with byte masks and
-/// selection vectors sized to one block. 2048 rows keeps a block's mask
-/// (2 KB), selection vector (16 KB), and packed keys (16 KB) inside L1/L2
-/// while amortizing the per-block stop check to noise.
+/// Block/morsel width of the kernels: scans proceed in fixed-size runs of
+/// this many rows, with byte masks and selection vectors sized to one
+/// block. 2048 rows keeps a block's mask (2 KB), selection vector (8 KB),
+/// and packed keys (16 KB) inside L1/L2 while amortizing the per-block stop
+/// check to noise.
 inline constexpr int64_t kKernelBlockSize = 2048;
 static_assert(kKernelBlockSize == kStopCheckStride,
               "block kernels check the stop token once per block; the shared "
               "stride constant must match the block size so every scan in the "
               "engine has the same stop latency");
 
-/// Process-wide switch for the block/morsel vectorized kernels, mirroring
-/// SetDictionaryKernelsEnabled (DESIGN.md §10). When enabled (the default),
-/// FilterEquals builds a selection vector via branch-free byte-mask loops,
-/// GroupByAggregate packs dense group keys block-at-a-time, and
-/// FilterGroupAggregate fuses filter→group→aggregate without materializing
-/// the filtered table. When disabled every call falls back to the row-at-a-
-/// time legacy path. Outputs are byte-identical either way (pinned by
-/// determinism_test and random_equivalence_test); the switch exists for A/B
-/// benchmarking and those equivalence fixtures. Not intended to be flipped
-/// mid-query. Independent of the dictionary toggle: codes are always stored,
-/// so the vectorized kernels run on codes regardless of that switch.
-void SetVectorizedKernelsEnabled(bool enabled);
-bool VectorizedKernelsEnabled();
+/// Rows per chunk of a resident table's scan (2^20): a multiple of the block
+/// size, so block loops never straddle a chunk, and small enough that
+/// chunk-local row offsets fit an int — heap-file pages obey the same two
+/// rules. Slicing is free, so chunks are as large as that allows: most
+/// resident tables are one chunk, and a selection over them grows its
+/// output arrays in one exact step.
+inline constexpr int64_t kResidentChunkRows = 512 * kKernelBlockSize;
+
+/// The one scan driver under every kernel: calls `fn(const PageView&)` for
+/// consecutive chunks of `table` in ascending row order and stops at the
+/// first error. A resident table yields zero-copy Column slices of
+/// kResidentChunkRows rows, touching no page source (so no pins, misses or
+/// page stats). A non-resident table pins each page of its PageSource in
+/// turn and prefetches the next while the current one is processed. The
+/// stop token is checked before every chunk; `fn` checks it per block.
+template <typename Fn>
+Status ScanChunks(const Table& table, StopToken* stop, Fn&& fn) {
+  if (table.rows_resident()) {
+    const int64_t n = table.num_rows();
+    std::vector<ColumnChunk> cols(static_cast<size_t>(table.num_columns()));
+    for (int64_t begin = 0; begin < n; begin += kResidentChunkRows) {
+      CAPE_RETURN_IF_STOPPED_BLOCK(stop);
+      for (size_t c = 0; c < cols.size(); ++c) {
+        cols[c] = table.column(static_cast<int>(c)).Slice(begin);
+      }
+      const PageView view{begin, static_cast<int>(std::min(kResidentChunkRows, n - begin)),
+                          cols.data()};
+      CAPE_RETURN_IF_ERROR(fn(view));
+    }
+    return Status::OK();
+  }
+  PageSource& src = *table.page_source();
+  const int64_t pages = src.num_pages();
+  for (int64_t p = 0; p < pages; ++p) {
+    CAPE_RETURN_IF_STOPPED_BLOCK(stop);
+    CAPE_ASSIGN_OR_RETURN(PageRef ref, src.Pin(p));
+    // Prefetch the successor while p is pinned: with >= 2 frames the next
+    // Pin hits; with a single frame the hint is skipped (the only frame is
+    // pinned), so a minimal budget never double-reads.
+    if (p + 1 < pages) src.Prefetch(p + 1);
+    CAPE_RETURN_IF_ERROR(fn(ref.view()));
+  }
+  return Status::OK();
+}
 
 /// Conjunctive equality predicate compiled once and evaluated a block at a
-/// time into a 0/1 byte mask — the vectorized counterpart of
-/// RowEqualityMatcher, with the same semantics (NULL matches NULL,
-/// cross-type numeric equality via Value::Compare's !(x<v) && !(x>v) rule,
-/// string values resolved to dictionary codes, absent/mismatched values
-/// short-circuiting via never_matches()).
+/// time into a 0/1 byte mask. Semantics are RowEqualityMatcher's (NULL
+/// matches NULL, cross-type numeric equality via Value::Compare's
+/// !(x<v) && !(x>v) rule, string values resolved to dictionary codes,
+/// absent/mismatched values short-circuiting via never_matches()).
 ///
-/// Holds pointers into `table`'s columns; must not outlive it. Column
-/// indices must be validated by the caller.
+/// The compiled conditions depend only on the table's schema and
+/// dictionaries — identical for every chunk of a scan, resident or paged.
+/// Column indices must be validated by the caller.
 class BlockPredicate {
  public:
   BlockPredicate(const Table& table,
@@ -58,16 +97,9 @@ class BlockPredicate {
   /// True when there are no conditions (every row matches).
   bool always_matches() const { return conds_.empty() && !never_matches_; }
 
-  /// Sets mask[i] to 1 where row `begin + i` satisfies every condition and 0
-  /// elsewhere, for i in [0, n). n must be <= kKernelBlockSize and
-  /// [begin, begin + n) must be valid rows.
-  void EvalBlock(int64_t begin, int n, uint8_t* mask) const;
-
-  /// EvalBlock twin for a pinned page: `chunks` holds one ColumnChunk per
-  /// table column (same layout as the Column arrays) and `begin` is a
-  /// page-local row offset. The compiled conditions are page-independent —
-  /// dictionary codes and never_matches() proofs hold for the whole file —
-  /// so one BlockPredicate serves every page of a scan.
+  /// Sets mask[i] to 1 where chunk-local row `begin + i` satisfies every
+  /// condition and 0 elsewhere, for i in [0, n). `chunks` holds one
+  /// ColumnChunk per table column; n must be <= kKernelBlockSize.
   void EvalChunk(const ColumnChunk* chunks, int begin, int n, uint8_t* mask) const;
 
  private:
@@ -80,81 +112,39 @@ class BlockPredicate {
     kInt64AsDouble,  // int64 column vs double value (rare; scalar loop)
   };
   struct Cond {
-    const Column* col = nullptr;
-    int col_idx = 0;  // chunk index for paged evaluation
+    int col_idx = 0;
     Kind kind = Kind::kCode;
     int32_t code = 0;
     int64_t i64 = 0;
     double f64 = 0.0;
   };
 
-  /// Shared per-condition kernel: EvalBlock feeds it the Column arrays,
-  /// EvalChunk the page chunk — identical loops either way, so the paged
-  /// path reuses the proven (and CI-vectorization-checked) mask code.
-  static void EvalCond(const Cond& cond, const ColumnChunk& arrays, int64_t begin,
-                       int n, uint8_t* mask);
+  static void EvalCond(const Cond& cond, const ColumnChunk& chunk, int begin, int n,
+                       uint8_t* mask);
 
   std::vector<Cond> conds_;
   bool never_matches_ = false;
 };
 
-/// σ_{c1=v1 ∧ ...} as a selection vector: appends the ascending row indices
-/// of `table` satisfying `conditions` to *sel (cleared first) without
-/// materializing any table. Stop checks run at block granularity.
-Status FilterEqualsSel(const Table& table,
-                       const std::vector<std::pair<int, Value>>& conditions,
-                       StopToken* stop, std::vector<int64_t>* sel);
-
-/// Number of rows satisfying `conditions` — the existence/cardinality probe
-/// shape (user_question.cc) that previously materialized a full filtered
-/// table just to read num_rows(). Vectorized mode counts straight off the
-/// block masks; legacy mode scans with RowEqualityMatcher.
+/// Number of rows satisfying `conditions`, counted straight off the block
+/// masks — the existence/cardinality probe shape (user_question.cc).
 Result<int64_t> CountFilterMatches(const Table& table,
                                    const std::vector<std::pair<int, Value>>& conditions,
                                    StopToken* stop = nullptr);
 
 /// Fused σ → γ: exactly GroupByAggregate(*FilterEquals(table, conditions),
-/// group_cols, aggs) — byte-identical output, same Status surface — but in
-/// vectorized mode the filtered table is never materialized: block masks
-/// feed a selection vector, group keys are packed from the base table's
-/// columns, and aggregates consume the selection directly. This is the
-/// retrieval-query shape Q_{P,f} = γ_{V,agg(A)}(σ_{F=f}(R)) that the miners
-/// and explainers issue thousands of times per request. With vectorized
-/// kernels disabled it runs the legacy two-operator composition (A/B).
+/// group_cols, aggs) — byte-identical output, same Status surface — without
+/// materializing the filtered table: block masks feed chunk-local
+/// selections, group keys are packed from the chunks, and aggregates
+/// consume the selection directly. This is the retrieval-query shape
+/// Q_{P,f} = γ_{V,agg(A)}(σ_{F=f}(R)) that the miners and explainers issue
+/// thousands of times per request; with no conditions it *is*
+/// GroupByAggregate.
 Result<TablePtr> FilterGroupAggregate(const Table& table,
                                       const std::vector<std::pair<int, Value>>& conditions,
                                       const std::vector<int>& group_cols,
                                       const std::vector<AggregateSpec>& aggs,
                                       StopToken* stop = nullptr);
-
-/// Sufficient statistics for mean and variance over the non-null rows of
-/// `col` named by a selection vector. Sums accumulate in selection order
-/// (floating-point addition is order-sensitive), so two equal selections
-/// always produce bit-equal sums. mean = sum / count; the biased variance is
-/// sum_sq / count - mean^2.
-struct SufficientStats {
-  int64_t count = 0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-};
-
-/// Computes SufficientStats for `col` over the `k` rows of `sel`. `col` must
-/// be numeric (int64 values are widened to double exactly as GetNumeric).
-SufficientStats MomentsSel(const Column& col, const int64_t* sel, int64_t k);
-
-namespace relational_internal {
-
-/// Paged σ_{c1=v1 ∧ ...}: materializes the matching rows of a paged-scan
-/// table (Table::UsesPagedScan()) into a fresh in-memory table, pinning one
-/// page at a time. Byte-identical to the in-memory FilterEquals — matched
-/// rows append in ascending order, so dictionary interning order (and hence
-/// codes, fingerprints, CSV bytes) agrees with AppendRowsFrom. Called by
-/// FilterEquals (operators.cc); not intended as public API.
-Result<TablePtr> PagedFilterEquals(const Table& table,
-                                   const std::vector<std::pair<int, Value>>& conditions,
-                                   StopToken* stop);
-
-}  // namespace relational_internal
 
 }  // namespace cape
 

@@ -2,34 +2,15 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstring>
 #include <iterator>
-#include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/hash.h"
-#include "common/logging.h"
 #include "common/macros.h"
 #include "relational/kernels.h"
 #include "relational/operators_internal.h"
 
 namespace cape {
-
-namespace {
-
-std::atomic<bool> g_dictionary_kernels{true};
-
-}  // namespace
-
-void SetDictionaryKernelsEnabled(bool enabled) {
-  g_dictionary_kernels.store(enabled, std::memory_order_relaxed);
-}
-
-bool DictionaryKernelsEnabled() {
-  return g_dictionary_kernels.load(std::memory_order_relaxed);
-}
 
 namespace relational_internal {
 
@@ -79,38 +60,6 @@ DataType AggOutputType(const Table& table, const AggregateSpec& spec) {
   return DataType::kDouble;
 }
 
-void UpdateAggState(const Table& table, const AggregateSpec& spec, int64_t row,
-                    AggState* state) {
-  if (spec.input_col == AggregateSpec::kCountStar) {
-    ++state->count;
-    return;
-  }
-  const Column& col = table.column(spec.input_col);
-  if (col.IsNull(row)) return;
-  ++state->count;
-  switch (spec.func) {
-    case AggFunc::kCount:
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-      if (col.type() == DataType::kInt64) {
-        state->isum += col.GetInt64(row);
-      }
-      state->dsum += col.GetNumeric(row);
-      break;
-    case AggFunc::kMin: {
-      Value v = col.GetValue(row);
-      if (state->min_value.is_null() || v < state->min_value) state->min_value = std::move(v);
-      break;
-    }
-    case AggFunc::kMax: {
-      Value v = col.GetValue(row);
-      if (state->max_value.is_null() || state->max_value < v) state->max_value = std::move(v);
-      break;
-    }
-  }
-}
-
 Value FinalizeAggState(const Table& table, const AggregateSpec& spec, const AggState& state) {
   switch (spec.func) {
     case AggFunc::kCount:
@@ -126,9 +75,8 @@ Value FinalizeAggState(const Table& table, const AggregateSpec& spec, const AggS
       if (state.count == 0) return Value::Null();
       return Value::Double(state.dsum / static_cast<double>(state.count));
     case AggFunc::kMin:
-      return state.min_value;
     case AggFunc::kMax:
-      return state.max_value;
+      return state.extreme;
   }
   return Value::Null();
 }
@@ -140,7 +88,6 @@ namespace {
 using relational_internal::AggOutputType;
 using relational_internal::AggState;
 using relational_internal::FinalizeAggState;
-using relational_internal::UpdateAggState;
 using relational_internal::ValidateAggSpec;
 using relational_internal::ValidateColumnIndex;
 
@@ -163,88 +110,49 @@ const char* AggFuncToString(AggFunc func) {
 }
 
 GroupKeyEncoder::GroupKeyEncoder(const Table& table, std::vector<int> cols)
-    : table_(table), cols_(std::move(cols)), use_codes_(DictionaryKernelsEnabled()) {}
+    : table_(table), cols_(std::move(cols)) {}
 
-void GroupKeyEncoder::EncodeRow(int64_t row, std::string* buf) const {
-  if (use_codes_) {
-    // Compact format: 0x00 for NULL, else 0x01 followed by a fixed-width
-    // payload (8-byte int64/double, 4-byte dictionary code). The schema fixes
-    // each column's payload width and per-column encodings are prefix-free,
-    // so keys decode unambiguously: equal keys <=> equal projections. No type
-    // tag is needed — all rows of one column share a type.
-    for (int c : cols_) {
-      const Column& col = table_.column(c);
-      if (col.IsNull(row)) {
-        buf->push_back('\0');
-        continue;
-      }
-      buf->push_back('\1');
-      switch (col.type()) {
-        case DataType::kInt64: {
-          const int64_t v = col.GetInt64(row);
-          buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-          break;
-        }
-        case DataType::kDouble: {
-          double v = col.GetDouble(row);
-          if (v == 0.0) v = 0.0;  // canonicalize -0.0
-          buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-          break;
-        }
-        case DataType::kString: {
-          const int32_t code = col.GetCode(row);
-          buf->append(reinterpret_cast<const char*>(&code), sizeof(code));
-          break;
-        }
-      }
-    }
+void GroupKeyEncoder::EncodeCell(DataType type, const ColumnChunk& chunk, int64_t i,
+                                 std::string* buf) {
+  // 0x00 for NULL, else 0x01 followed by a fixed-width payload (8-byte
+  // int64/double, 4-byte dictionary code). The column type fixes the
+  // payload width and per-column encodings are prefix-free, so keys decode
+  // unambiguously: equal keys <=> equal projections. No type tag is needed
+  // — all rows of one column share a type.
+  if (chunk.validity[i] == 0) {
+    buf->push_back('\0');
     return;
   }
+  buf->push_back('\1');
+  switch (type) {
+    case DataType::kInt64:
+      buf->append(reinterpret_cast<const char*>(&chunk.i64[i]), sizeof(int64_t));
+      break;
+    case DataType::kDouble: {
+      double v = chunk.f64[i];
+      if (v == 0.0) v = 0.0;  // canonicalize -0.0
+      buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
+      break;
+    }
+    case DataType::kString:
+      buf->append(reinterpret_cast<const char*>(&chunk.codes[i]), sizeof(int32_t));
+      break;
+  }
+}
+
+void GroupKeyEncoder::EncodeRow(int64_t row, std::string* buf) const {
   for (int c : cols_) {
     const Column& col = table_.column(c);
-    if (col.IsNull(row)) {
-      buf->push_back('\0');
-      continue;
-    }
-    switch (col.type()) {
-      case DataType::kInt64: {
-        buf->push_back('i');
-        int64_t v = col.GetInt64(row);
-        buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-        break;
-      }
-      case DataType::kDouble: {
-        buf->push_back('d');
-        double v = col.GetDouble(row);
-        if (v == 0.0) v = 0.0;  // canonicalize -0.0
-        buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-        break;
-      }
-      case DataType::kString: {
-        buf->push_back('s');
-        const std::string& s = col.GetString(row);
-        uint32_t len = static_cast<uint32_t>(s.size());
-        buf->append(reinterpret_cast<const char*>(&len), sizeof(len));
-        buf->append(s);
-        break;
-      }
-    }
+    EncodeCell(col.type(), col.Slice(0), row, buf);
   }
 }
 
 RowEqualityMatcher::RowEqualityMatcher(const Table& table,
                                        const std::vector<std::pair<int, Value>>& conditions) {
-  const bool use_codes = DictionaryKernelsEnabled();
   conds_.reserve(conditions.size());
   for (const auto& [col_idx, value] : conditions) {
     Cond cond;
     cond.col = &table.column(col_idx);
-    if (!use_codes) {
-      cond.kind = Kind::kBoxed;
-      cond.boxed = value;
-      conds_.push_back(std::move(cond));
-      continue;
-    }
     if (value.is_null()) {
       cond.kind = Kind::kIsNull;
     } else if (cond.col->type() == DataType::kString) {
@@ -272,7 +180,7 @@ RowEqualityMatcher::RowEqualityMatcher(const Table& table,
       cond.kind = Kind::kDoubleEq;
       cond.f64 = value.AsDouble();
     }
-    conds_.push_back(std::move(cond));
+    conds_.push_back(cond);
   }
 }
 
@@ -298,9 +206,6 @@ bool RowEqualityMatcher::Matches(int64_t row) const {
         if (x < cond.f64 || x > cond.f64) return false;
         break;
       }
-      case Kind::kBoxed:
-        if (cond.col->GetValue(row) != cond.boxed) return false;
-        break;
     }
   }
   return true;
@@ -309,199 +214,7 @@ bool RowEqualityMatcher::Matches(int64_t row) const {
 Result<TablePtr> GroupByAggregate(const Table& table, const std::vector<int>& group_cols,
                                   const std::vector<AggregateSpec>& aggs,
                                   StopToken* stop) {
-  if (table.UsesPagedScan() || VectorizedKernelsEnabled()) {
-    // The fused kernel with an empty condition list is exactly this operator
-    // (its vectorized branch never calls back into GroupByAggregate). A
-    // page-backed table must route there unconditionally: it self-dispatches
-    // to the paged scan, and the legacy row loop below cannot read rows that
-    // live only in the heap file.
-    return FilterGroupAggregate(table, {}, group_cols, aggs, stop);
-  }
-  for (int c : group_cols) CAPE_RETURN_IF_ERROR(ValidateColumnIndex(table, c));
-  for (const AggregateSpec& spec : aggs) CAPE_RETURN_IF_ERROR(ValidateAggSpec(table, spec));
-
-  // Output schema: group columns then aggregates.
-  std::vector<Field> out_fields;
-  out_fields.reserve(group_cols.size() + aggs.size());
-  for (int c : group_cols) out_fields.push_back(table.schema()->field(c));
-  for (const AggregateSpec& spec : aggs) {
-    out_fields.push_back(Field{spec.output_name, AggOutputType(table, spec), true});
-  }
-
-  std::vector<int64_t> representative_row;    // first row of each group
-  std::vector<std::vector<AggState>> states;  // [group][agg]
-
-  // Dense-key fast path (DESIGN.md §10): every group column that is a
-  // string maps rows onto its dictionary codes, and an int64 column with a
-  // narrow value range maps onto value - min; both are small dense integer
-  // domains, so the whole group key packs into one uint64 mixed-radix code.
-  // Rows are equal under the packed code exactly when they are equal under
-  // the byte encoder (per-column value-or-both-null equality), and groups
-  // are still numbered in discovery order, so the output is byte-identical
-  // to the generic path. Double columns, wide int ranges, and overflowing
-  // domain products fall back to the encoder below.
-  struct DenseKeyCol {
-    const Column* col;
-    uint64_t stride;
-    int64_t base;  // minimum value for int64 columns
-    bool is_string;
-  };
-  std::vector<DenseKeyCol> dense;
-  uint64_t domain_product = 1;
-  bool dense_ok = DictionaryKernelsEnabled() && !group_cols.empty() &&
-                  table.num_rows() < (int64_t{1} << 31);
-  if (dense_ok) {
-    for (int c : group_cols) {
-      const Column& col = table.column(c);
-      DenseKeyCol d{&col, domain_product, 0, false};
-      uint64_t domain;  // cardinality + 1 slot for NULL
-      if (col.type() == DataType::kString) {
-        d.is_string = true;
-        domain = static_cast<uint64_t>(col.dict_size()) + 1;
-      } else if (col.type() == DataType::kInt64) {
-        int64_t lo = 0, hi = 0;
-        bool any = false;
-        for (int64_t row = 0; row < table.num_rows(); ++row) {
-          if ((row & (kStopCheckStride - 1)) == 0) CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-          if (col.IsNull(row)) continue;
-          const int64_t v = col.GetInt64(row);
-          lo = any ? std::min(lo, v) : v;
-          hi = any ? std::max(hi, v) : v;
-          any = true;
-        }
-        const uint64_t width = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-        if (width >= (uint64_t{1} << 22)) {
-          dense_ok = false;  // wide range: dense codes would be too sparse
-          break;
-        }
-        domain = width + 2;
-        d.base = lo;
-      } else {
-        dense_ok = false;  // double group keys keep the generic encoder
-        break;
-      }
-      if (domain_product > std::numeric_limits<uint64_t>::max() / domain) {
-        dense_ok = false;  // mixed-radix product overflows uint64
-        break;
-      }
-      domain_product *= domain;
-      dense.push_back(d);
-    }
-  }
-
-  const size_t expected_groups =
-      group_cols.empty() ? 1 : static_cast<size_t>(table.num_rows() / 4 + 1);
-
-  if (dense_ok) {
-    auto pack_key = [&dense](int64_t row) {
-      uint64_t key = 0;
-      for (const DenseKeyCol& d : dense) {
-        const uint64_t code =
-            d.is_string
-                ? static_cast<uint64_t>(d.col->GetCode(row) + 1)  // NULL -> 0
-                : (d.col->IsNull(row)
-                       ? 0
-                       : static_cast<uint64_t>(d.col->GetInt64(row) - d.base) + 1);
-        key += code * d.stride;
-      }
-      return key;
-    };
-    // Small key spaces use a direct-address table (one array access per
-    // row); larger ones fall back to an exact uint64-keyed hash map. Both
-    // avoid the byte encoding, string hashing, and per-group heap chains of
-    // the generic path.
-    const uint64_t direct_cap =
-        static_cast<uint64_t>(std::max<int64_t>(table.num_rows(), 1024)) * 4;
-    auto update_row = [&](int64_t row, size_t group, bool is_new) {
-      if (is_new) {
-        representative_row.push_back(row);
-        states.emplace_back(aggs.size());
-      }
-      std::vector<AggState>& group_states = states[group];
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        UpdateAggState(table, aggs[a], row, &group_states[a]);
-      }
-    };
-    if (domain_product <= direct_cap) {
-      std::vector<int32_t> group_of_key(domain_product, -1);
-      for (int64_t row = 0; row < table.num_rows(); ++row) {
-        CAPE_RETURN_IF_STOPPED(stop);
-        int32_t& slot = group_of_key[pack_key(row)];
-        const bool is_new = slot < 0;
-        if (is_new) slot = static_cast<int32_t>(states.size());
-        update_row(row, static_cast<size_t>(slot), is_new);
-      }
-    } else {
-      std::unordered_map<uint64_t, size_t> group_of_key;
-      group_of_key.reserve(expected_groups);
-      for (int64_t row = 0; row < table.num_rows(); ++row) {
-        CAPE_RETURN_IF_STOPPED(stop);
-        auto [it, is_new] = group_of_key.try_emplace(pack_key(row), states.size());
-        update_row(row, it->second, is_new);
-      }
-    }
-  } else {
-    GroupKeyEncoder encoder(table, group_cols);
-    // The table is keyed by the key's FNV-1a hash, computed once per row
-    // (std::unordered_map<std::string, ...> would re-hash the bytes on every
-    // probe and again on every rehash). Hash collisions are resolved by
-    // comparing the encoded key against the bucket's groups; groups keep
-    // their discovery order, which downstream output depends on.
-    std::unordered_map<uint64_t, std::vector<size_t>> group_buckets;
-    std::vector<std::string> group_keys;  // encoded key of each group
-
-    // Sizing heuristic: grouping keeps at most num_rows distinct keys, and
-    // the mining workloads typically see group counts within a small factor
-    // of the row count, so reserving a quarter up front eliminates almost
-    // all rehash cycles without over-allocating for low-cardinality keys.
-    group_buckets.reserve(expected_groups);
-    group_keys.reserve(expected_groups);
-
-    std::string key;
-    for (int64_t row = 0; row < table.num_rows(); ++row) {
-      CAPE_RETURN_IF_STOPPED(stop);
-      key.clear();
-      encoder.EncodeRow(row, &key);
-      const uint64_t hash = HashBytes(key.data(), key.size());
-      std::vector<size_t>& bucket = group_buckets[hash];
-      size_t group = states.size();
-      for (size_t candidate : bucket) {
-        if (group_keys[candidate] == key) {
-          group = candidate;
-          break;
-        }
-      }
-      if (group == states.size()) {
-        bucket.push_back(group);
-        group_keys.push_back(key);
-        representative_row.push_back(row);
-        states.emplace_back(aggs.size());
-      }
-      std::vector<AggState>& group_states = states[group];
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        UpdateAggState(table, aggs[a], row, &group_states[a]);
-      }
-    }
-  }
-
-  // Aggregation without grouping yields exactly one row even on empty input.
-  if (group_cols.empty() && states.empty()) {
-    representative_row.push_back(-1);
-    states.emplace_back(aggs.size());
-  }
-
-  auto out = std::make_shared<Table>(Schema::Make(std::move(out_fields)));
-  out->Reserve(static_cast<int64_t>(states.size()));
-  Row out_row;
-  for (size_t g = 0; g < states.size(); ++g) {
-    out_row.clear();
-    for (int c : group_cols) out_row.push_back(table.GetValue(representative_row[g], c));
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      out_row.push_back(FinalizeAggState(table, aggs[a], states[g][a]));
-    }
-    CAPE_RETURN_IF_ERROR(out->AppendRow(out_row));
-  }
-  return out;
+  return FilterGroupAggregate(table, {}, group_cols, aggs, stop);
 }
 
 Result<TablePtr> GroupByAggregate(const Table& table,
@@ -521,8 +234,8 @@ Result<TablePtr> Filter(const Table& table, const std::function<bool(int64_t)>& 
                         StopToken* stop) {
   if (!table.rows_resident()) {
     // The arbitrary-predicate filter is row-at-a-time by construction; the
-    // paged operators cover every engine query shape (σ= via FilterEquals,
-    // counting, fused group-aggregate), so out-of-core tables don't need it.
+    // kernels cover every engine query shape (σ= via FilterEquals, counting,
+    // fused group-aggregate), so out-of-core tables don't need it.
     return Status::NotImplemented("Filter requires resident rows; use FilterEquals");
   }
   std::vector<int64_t> matches;
@@ -534,34 +247,6 @@ Result<TablePtr> Filter(const Table& table, const std::function<bool(int64_t)>& 
   out->Reserve(static_cast<int64_t>(matches.size()));
   CAPE_RETURN_IF_ERROR(out->AppendRowsFrom(table, matches));
   return out;
-}
-
-Result<TablePtr> FilterEquals(const Table& table,
-                              const std::vector<std::pair<int, Value>>& conditions,
-                              StopToken* stop) {
-  for (const auto& [col, value] : conditions) {
-    CAPE_RETURN_IF_ERROR(ValidateColumnIndex(table, col));
-    (void)value;
-  }
-  if (table.UsesPagedScan()) {
-    return relational_internal::PagedFilterEquals(table, conditions, stop);
-  }
-  if (VectorizedKernelsEnabled()) {
-    std::vector<int64_t> sel;
-    CAPE_RETURN_IF_ERROR(FilterEqualsSel(table, conditions, stop, &sel));
-    auto out = std::make_shared<Table>(table.schema());
-    out->Reserve(static_cast<int64_t>(sel.size()));
-    CAPE_RETURN_IF_ERROR(out->AppendRowsFrom(table, sel));
-    return out;
-  }
-  RowEqualityMatcher matcher(table, conditions);
-  if (matcher.never_matches()) {
-    // A condition value that cannot occur in its column (e.g. a string absent
-    // from the dictionary) proves the selection is empty without a scan.
-    if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
-    return std::make_shared<Table>(table.schema());
-  }
-  return Filter(table, [&](int64_t row) { return matcher.Matches(row); }, stop);
 }
 
 Result<TablePtr> Project(const Table& table, const std::vector<int>& cols,
@@ -595,39 +280,36 @@ Result<TablePtr> ProjectDistinct(const Table& table, const std::vector<int>& col
     CAPE_RETURN_IF_ERROR(ValidateColumnIndex(table, c));
     out_fields.push_back(table.schema()->field(c));
   }
-  if (table.UsesPagedScan()) {
-    if (cols.empty()) {
-      // Distinct over zero columns: one empty row iff the table is
-      // non-empty. (The fused kernel's no-group shape always emits a row,
-      // so this edge is handled here.)
-      auto out = std::make_shared<Table>(Schema::Make(std::move(out_fields)));
-      if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
-      if (table.num_rows() > 0) CAPE_RETURN_IF_ERROR(out->AppendRow(Row{}));
-      return out;
-    }
-    // Grouping with no aggregates emits exactly the distinct combinations,
-    // in the same first-seen order as the row loop below.
-    return FilterGroupAggregate(table, {}, cols, {}, stop);
+  if (cols.empty()) {
+    // Distinct over zero columns: one empty row iff the table is non-empty.
+    // (The fused kernel's no-group shape always emits a row, so this edge
+    // is handled here.)
+    auto out = std::make_shared<Table>(Schema::Make(std::move(out_fields)));
+    if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
+    if (table.num_rows() > 0) CAPE_RETURN_IF_ERROR(out->AppendRow(Row{}));
+    return out;
   }
-  GroupKeyEncoder encoder(table, cols);
-  std::unordered_map<std::string, bool> seen;
-  auto out = std::make_shared<Table>(Schema::Make(std::move(out_fields)));
-  std::string key;
-  for (int64_t row = 0; row < table.num_rows(); ++row) {
-    if ((row & (kStopCheckStride - 1)) == 0) CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-    key.clear();
-    encoder.EncodeRow(row, &key);
-    if (seen.emplace(key, true).second) {
-      CAPE_RETURN_IF_ERROR(out->AppendRow(table.GetRowProjection(row, cols)));
-    }
-  }
-  return out;
+  // Grouping with no aggregates emits exactly the distinct combinations in
+  // first-seen order.
+  return FilterGroupAggregate(table, {}, cols, {}, stop);
 }
 
 namespace {
 
-/// Typed row comparison on one column, NULL-first, no Value boxing.
-int CompareCells(const Column& col, int64_t a, int64_t b) {
+/// Typed row comparison on one column, NULL-first, no Value boxing. String
+/// cells compare by `ranks` (Column::SortedCodeRanks): rank order is string
+/// order and rank equality is string equality, so an O(d log d) remap turns
+/// the O(n log n) comparison phase into integer compares.
+int CompareCells(const Column& col, const std::vector<int32_t>& ranks, int64_t a, int64_t b) {
+  if (col.type() == DataType::kString) {
+    // NULL codes are negative, so the code alone decides NULL-first.
+    const int32_t ca = col.GetCode(a);
+    const int32_t cb = col.GetCode(b);
+    if (ca < 0 || cb < 0) return static_cast<int>(ca >= 0) - static_cast<int>(cb >= 0);
+    const int32_t x = ranks[static_cast<size_t>(ca)];
+    const int32_t y = ranks[static_cast<size_t>(cb)];
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
   const bool a_null = col.IsNull(a);
   const bool b_null = col.IsNull(b);
   if (a_null || b_null) return static_cast<int>(!a_null) - static_cast<int>(!b_null);
@@ -642,10 +324,8 @@ int CompareCells(const Column& col, int64_t a, int64_t b) {
       const double y = col.GetDouble(b);
       return x < y ? -1 : (x > y ? 1 : 0);
     }
-    case DataType::kString: {
-      const int cmp = col.GetString(a).compare(col.GetString(b));
-      return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-    }
+    case DataType::kString:
+      break;  // handled above
   }
   return 0;
 }
@@ -660,39 +340,17 @@ Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
     return Status::NotImplemented("SortTable requires resident rows");
   }
   if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
-  // With dictionary kernels on, each string sort key gets a sorted-code rank
-  // remap (ranks order exactly as the strings do), turning the O(n log n)
-  // comparison phase into pure integer compares for an O(d log d) setup cost.
   std::vector<std::vector<int32_t>> string_ranks(keys.size());
-  if (DictionaryKernelsEnabled()) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const Column& col = table.column(keys[i].col);
-      if (col.type() == DataType::kString) string_ranks[i] = col.SortedCodeRanks();
-    }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Column& col = table.column(keys[i].col);
+    if (col.type() == DataType::kString) string_ranks[i] = col.SortedCodeRanks();
   }
   std::vector<int64_t> order(static_cast<size_t>(table.num_rows()));
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
     for (size_t i = 0; i < keys.size(); ++i) {
-      const SortKey& k = keys[i];
-      const Column& col = table.column(k.col);
-      int cmp;
-      if (!string_ranks[i].empty()) {
-        // NULL-first, then by rank; rank equality <=> code equality <=>
-        // string equality, so ties break identically to the legacy compare.
-        const int32_t ca = col.GetCode(a);
-        const int32_t cb = col.GetCode(b);
-        if (ca < 0 || cb < 0) {
-          cmp = static_cast<int>(ca >= 0) - static_cast<int>(cb >= 0);
-        } else {
-          const int32_t ra = string_ranks[i][static_cast<size_t>(ca)];
-          const int32_t rb = string_ranks[i][static_cast<size_t>(cb)];
-          cmp = ra < rb ? -1 : (ra > rb ? 1 : 0);
-        }
-      } else {
-        cmp = CompareCells(col, a, b);
-      }
-      if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
+      const int cmp = CompareCells(table.column(keys[i].col), string_ranks[i], a, b);
+      if (cmp != 0) return keys[i].ascending ? cmp < 0 : cmp > 0;
     }
     return false;
   });
@@ -885,11 +543,13 @@ struct IncrementalGroupBy::Impl {
       : table(std::move(t)),
         group_cols(std::move(cols)),
         aggs(std::move(specs)),
+        plans(relational_internal::CompileAggPlans(*table, aggs)),
         encoder(*table, group_cols) {}
 
   TablePtr table;
   std::vector<int> group_cols;
   std::vector<AggregateSpec> aggs;
+  std::vector<relational_internal::AggPlan> plans;
   GroupKeyEncoder encoder;
 
   // Committed state, mirroring GroupByAggregate's generic path: groups in
@@ -1000,6 +660,11 @@ Status IncrementalGroupBy::PrepareFold(int64_t end_row, StopToken* stop) {
                          static_cast<size_t>(end_row - im.rows_folded) / 4);
   const Table& table = *im.table;
   const size_t na = im.aggs.size();
+  // The table does not grow during a fold, so whole-column slices stay
+  // valid for it; they feed the kernels' aggregate update.
+  std::vector<ColumnChunk> chunks;
+  chunks.reserve(static_cast<size_t>(table.num_columns()));
+  for (int c = 0; c < table.num_columns(); ++c) chunks.push_back(table.column(c).Slice(0));
   // Rows fold in blocks: the first pass encodes the block's keys and
   // prefetches their index slots, the second probes and updates — the
   // per-row random miss on the slot array overlaps across the block instead
@@ -1059,9 +724,8 @@ Status IncrementalGroupBy::PrepareFold(int64_t end_row, StopToken* stop) {
         }
         group_states = im.overlay_states.data() + im.overlay_slot[group] * na;
       }
-      for (size_t a = 0; a < na; ++a) {
-        UpdateAggState(table, im.aggs[a], row, &group_states[a]);
-      }
+      relational_internal::UpdateAggStates(table, im.aggs, im.plans, chunks.data(), row,
+                                           group_states);
     }
   }
   return Status::OK();
@@ -1109,12 +773,9 @@ bool IncrementalGroupBy::AggregateNumeric(int64_t group, size_t agg_idx,
       *out = state.dsum / static_cast<double>(state.count);
       return true;
     case AggFunc::kMin:
-      if (state.min_value.is_null()) return false;
-      *out = state.min_value.AsDouble();
-      return true;
     case AggFunc::kMax:
-      if (state.max_value.is_null()) return false;
-      *out = state.max_value.AsDouble();
+      if (state.extreme.is_null()) return false;
+      *out = state.extreme.AsDouble();
       return true;
   }
   return false;
@@ -1168,13 +829,10 @@ void IncrementalGroupBy::AggregateNumericBatch(const int64_t* groups, size_t n,
         out[i] = state.dsum / static_cast<double>(state.count);
         valid[i] = state.count != 0;
         break;
-      case Mode::kMinMax: {
-        const Value& v =
-            spec.func == AggFunc::kMin ? state.min_value : state.max_value;
-        out[i] = v.AsDouble();
-        valid[i] = !v.is_null();
+      case Mode::kMinMax:
+        out[i] = state.extreme.AsDouble();
+        valid[i] = !state.extreme.is_null();
         break;
-      }
     }
   }
 }

@@ -48,8 +48,8 @@ struct AggregateSpec {
 
 /// SELECT group_cols, aggs FROM table GROUP BY group_cols.
 ///
-/// Hash aggregation; output rows appear in first-seen group order (stable,
-/// deterministic). NULL group keys form their own group (SQL semantics).
+/// Hash aggregation (FilterGroupAggregate with no conditions, kernels.h);
+/// output rows appear in first-seen group order (stable, deterministic). NULL group keys form their own group (SQL semantics).
 /// Aggregates ignore NULL inputs; count(*) counts rows, count(col) counts
 /// non-null values. Empty `group_cols` produces one global row.
 ///
@@ -120,35 +120,29 @@ Result<TablePtr> Cube(const Table& table, const std::vector<int>& cube_cols,
                       const std::vector<AggregateSpec>& aggs,
                       const CubeOptions& options = {}, StopToken* stop = nullptr);
 
-/// Process-wide switch for the dictionary-code kernels (DESIGN.md §10).
-/// When enabled (the default), group keys encode 4-byte dictionary codes,
-/// equality selections compare pre-translated codes, and sorts compare
-/// sorted-code ranks; when disabled every kernel falls back to the legacy
-/// per-row string/Value comparisons. Outputs are byte-identical either way
-/// (pinned by determinism_test); the switch exists for A/B benchmarking and
-/// that equivalence fixture. Not intended to be flipped mid-query.
-void SetDictionaryKernelsEnabled(bool enabled);
-bool DictionaryKernelsEnabled();
-
-/// Internal helper shared by operators and the FD detector: encodes the
-/// projection of row `row` onto `cols` into a byte string such that two rows
-/// encode equal iff their projections are equal (value- and null-aware).
+/// Group-key encoding shared by the kernels, IncrementalGroupBy and the FD
+/// detector: encodes the projection of a row onto `cols` into a byte string
+/// such that two rows encode equal iff their projections are equal (value-
+/// and null-aware, -0.0 == 0.0; NaN keys compare by bit pattern).
 ///
-/// With dictionary kernels enabled, string cells encode as their fixed-width
-/// 4-byte dictionary code instead of length-prefixed bytes. Codes are only
-/// unique within one column, so encoded keys are comparable only among rows
-/// of the *same table* — which is the only way every consumer uses them.
+/// String cells encode as their fixed-width 4-byte dictionary code. Codes
+/// are only unique within one column, so encoded keys are comparable only
+/// among rows of the *same table* — which is the only way every consumer
+/// uses them.
 class GroupKeyEncoder {
  public:
   GroupKeyEncoder(const Table& table, std::vector<int> cols);
 
-  /// Appends the encoding of row `row` to *buf (buf is not cleared).
+  /// Appends the encoding of resident row `row` to *buf (not cleared).
   void EncodeRow(int64_t row, std::string* buf) const;
+
+  /// Appends the encoding of row `i` of `chunk`, a chunk of a `type` column.
+  static void EncodeCell(DataType type, const ColumnChunk& chunk, int64_t i,
+                         std::string* buf);
 
  private:
   const Table& table_;
   std::vector<int> cols_;
-  bool use_codes_;
 };
 
 /// Incrementally maintained GROUP BY: the stateful twin of GroupByAggregate
@@ -159,7 +153,7 @@ class GroupKeyEncoder {
 ///
 /// Groups are numbered in first-seen row order, exactly as GroupByAggregate
 /// discovers them, and each group's state is produced by the same sequential
-/// UpdateAggState fold over its rows — so RepresentativeRow/AggregateValue
+/// aggregate fold over its rows — so RepresentativeRow/AggregateValue
 /// reproduce the corresponding GroupByAggregate output table byte-for-byte
 /// at every fold point. PatternMaintainer builds its group tables on this.
 ///
@@ -241,8 +235,8 @@ class IncrementalGroupBy {
 /// condition, not per row) and numeric values to unboxed comparisons, so
 /// Matches() is pure integer/double compares. Semantics are exactly those of
 /// `table.GetValue(row, col) == value` per condition (NULL matches NULL,
-/// cross-type numeric equality, NaN quirks included). With dictionary
-/// kernels disabled it falls back to boxed Value comparison per row.
+/// cross-type numeric equality, NaN quirks included). The kernels' block
+/// form of the same predicate is BlockPredicate (kernels.h).
 ///
 /// Holds a pointer into `table`; must not outlive it. Column indices must be
 /// validated by the caller.
@@ -263,15 +257,13 @@ class RowEqualityMatcher {
     kInt64,     // exact int64 equality
     kDoubleEq,  // numeric equality via !(x<v) && !(x>v) (Value::Compare's rule)
     kCode,      // string column: dictionary code equality
-    kBoxed,     // legacy fallback: boxed Value comparison
   };
   struct Cond {
     const Column* col = nullptr;
-    Kind kind = Kind::kBoxed;
+    Kind kind = Kind::kIsNull;
     int64_t i64 = 0;
     double f64 = 0.0;
     int32_t code = 0;
-    Value boxed;
   };
 
   std::vector<Cond> conds_;

@@ -1,11 +1,11 @@
 #ifndef CAPE_RELATIONAL_OPERATORS_INTERNAL_H_
 #define CAPE_RELATIONAL_OPERATORS_INTERNAL_H_
 
-// Aggregate-state machinery shared between the row-at-a-time operators
-// (operators.cc) and the block/morsel kernels (kernels.cc). Both paths must
-// produce byte-identical output, so they must share the exact update and
-// finalize arithmetic — in particular the int64 sum's dual isum/dsum
-// accumulation and the boxed min/max comparison rules.
+// Aggregate-state machinery shared by the scan kernels (kernels.cc) and
+// IncrementalGroupBy (operators.cc). Both fold rows with the same update
+// and finalize arithmetic — in particular the int64 sum's dual isum/dsum
+// accumulation and the boxed min/max comparison rules — which is what makes
+// a maintained group table byte-identical to a fresh GROUP BY.
 
 #include <cstdint>
 #include <vector>
@@ -26,12 +26,34 @@ struct AggState {
   int64_t count = 0;  // non-null inputs (rows for count(*))
   int64_t isum = 0;   // integer sum
   double dsum = 0.0;  // double sum
-  Value min_value;    // NULL until first non-null input
-  Value max_value;
+  Value extreme;      // min or max so far (the spec's func says which);
+                      // NULL until the first non-null input
 };
 
-void UpdateAggState(const Table& table, const AggregateSpec& spec, int64_t row,
-                    AggState* state);
+/// Pre-resolved update shape of one aggregate, so the per-row fold
+/// dispatches on a dense enum instead of re-deriving (func, column type)
+/// per row.
+enum class AggKind : uint8_t {
+  kCountStar,  // count(*): rows
+  kCountCol,   // count(col): non-null rows
+  kSumInt64,   // sum/avg over an int64 column
+  kSumDouble,  // sum/avg over a double column
+  kMinMax,     // min/max: boxed Value comparisons
+};
+
+struct AggPlan {
+  AggKind kind = AggKind::kCountStar;
+  int col_idx = -1;  // input column (kCountStar: unused)
+};
+
+std::vector<AggPlan> CompileAggPlans(const Table& table,
+                                     const std::vector<AggregateSpec>& aggs);
+
+/// Folds row `i` of `chunks` (one ColumnChunk per column of `table`) into
+/// states[0, aggs.size()).
+void UpdateAggStates(const Table& table, const std::vector<AggregateSpec>& aggs,
+                     const std::vector<AggPlan>& plans, const ColumnChunk* chunks,
+                     int64_t i, AggState* states);
 
 Value FinalizeAggState(const Table& table, const AggregateSpec& spec,
                        const AggState& state);

@@ -1,24 +1,6 @@
 #include "relational/page_source.h"
 
-#include <atomic>
-
 namespace cape {
-namespace {
-
-// Process-wide paged-scan toggle, same shape as g_dictionary_kernels
-// (operators.cc) and g_vectorized_kernels (kernels.cc): relaxed atomic,
-// flipped only at test/bench setup boundaries.
-std::atomic<bool> g_paged_storage{true};
-
-}  // namespace
-
-void SetPagedStorageEnabled(bool enabled) {
-  g_paged_storage.store(enabled, std::memory_order_relaxed);
-}
-
-bool PagedStorageEnabled() {
-  return g_paged_storage.load(std::memory_order_relaxed);
-}
 
 void PageRef::Release() {
   if (source_ != nullptr) {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/result.h"
+#include "relational/column.h"
 
 namespace cape {
 
@@ -20,22 +21,10 @@ struct PageSourceStats {
   int64_t peak_bytes_pinned = 0;  ///< High-water mark of bytes_pinned.
 };
 
-/// One column's slice of a pinned page, laid out exactly like the
-/// corresponding Column arrays (column.h): the block kernels index these
-/// pointers with page-local row offsets, so a pinned page is handed to the
-/// 2048-row block loops zero-copy. Pointers for the non-matching types are
-/// null; `validity` is always populated (pages store it unconditionally),
-/// and `null_count` lets kernels keep their no-null fast paths.
-struct ColumnChunk {
-  const uint8_t* validity = nullptr;
-  const int64_t* i64 = nullptr;
-  const double* f64 = nullptr;
-  const int32_t* codes = nullptr;
-  int64_t null_count = 0;  ///< NULL slots within this chunk only.
-};
-
-/// A pinned page: the global row range it covers plus one ColumnChunk per
-/// table column. Valid only while the owning PageRef is alive.
+/// One chunk of a table scan: the global row range it covers plus one
+/// ColumnChunk per table column. The kernels see only this view, whether it
+/// slices a resident table's Column arrays or a pinned heap-file page (then
+/// valid only while the owning PageRef is alive).
 struct PageView {
   int64_t row_begin = 0;
   int row_count = 0;
@@ -84,10 +73,10 @@ class PageRef {
   PageView view_;
 };
 
-/// Read-only paged access to a table's rows. Implemented by the storage
-/// layer (storage/paged_table.h: heap file + buffer manager); declared here
-/// so Table and the kernels can scan page-at-a-time without the relational
-/// library depending on storage. Implementations must be thread-safe: the
+/// Read-only paged access to the rows of a non-resident table. Implemented
+/// by the storage layer (storage/paged_table.h: heap file + buffer manager);
+/// declared here so Table and the kernels' chunk driver (kernels.h) can scan
+/// page-at-a-time without the relational library depending on storage. Implementations must be thread-safe: the
 /// parallel miners pin pages from several worker threads at once.
 class PageSource {
  public:
@@ -120,14 +109,6 @@ class PageSource {
   /// Drops the pin identified by `cookie` (issued by Pin).
   virtual void Unpin(uint64_t cookie) = 0;
 };
-
-/// Process-wide toggle routing scans of page-backed *resident* tables
-/// through the paged path, for A/B benchmarking and the paged-vs-in-memory
-/// equivalence fixtures (mirrors SetDictionaryKernelsEnabled /
-/// SetVectorizedKernelsEnabled). Tables whose rows exist only in a heap
-/// file always scan paged regardless of this toggle. Default: enabled.
-void SetPagedStorageEnabled(bool enabled);
-bool PagedStorageEnabled();
 
 }  // namespace cape
 

@@ -28,6 +28,28 @@ Result<std::shared_ptr<Table>> Table::FromRows(std::shared_ptr<Schema> schema,
   return table;
 }
 
+Result<std::shared_ptr<Table>> Table::FromColumns(std::shared_ptr<Schema> schema,
+                                                  std::vector<Column> columns,
+                                                  int64_t num_rows) {
+  if (static_cast<int>(columns.size()) != schema->num_fields()) {
+    return Status::InvalidArgument("FromColumns got " + std::to_string(columns.size()) +
+                                   " columns for schema arity " +
+                                   std::to_string(schema->num_fields()));
+  }
+  for (int i = 0; i < schema->num_fields(); ++i) {
+    const Column& col = columns[static_cast<size_t>(i)];
+    if (col.type() != schema->field(i).type || col.size() != num_rows) {
+      return Status::InvalidArgument("FromColumns column " + std::to_string(i) +
+                                     " does not match its field or the row count");
+    }
+  }
+  auto table = std::make_shared<Table>(std::move(schema));
+  table->columns_ = std::move(columns);
+  for (Column& col : table->columns_) col.ShrinkToFit();
+  table->num_rows_ = num_rows;
+  return table;
+}
+
 Result<const Column*> Table::ColumnByName(const std::string& name) const {
   CAPE_ASSIGN_OR_RETURN(int idx, schema_->GetFieldIndexChecked(name));
   return &columns_[static_cast<size_t>(idx)];
@@ -55,10 +77,9 @@ Status Table::ValidateRow(const Row& row) const {
 }
 
 Status Table::AppendRow(const Row& row) {
-  if (page_source_ != nullptr) {
-    // A page source's content digest covers a fixed row set; growing the
-    // resident columns underneath it would desynchronize the paged and
-    // in-memory views of the "same" table.
+  if (!rows_resident()) {
+    // The rows live in a heap file whose content digest covers a fixed row
+    // set; the row-free columns cannot grow underneath it.
     return Status::InvalidArgument("cannot append to a paged table");
   }
   // Validate all cells before mutating any column so a failed append leaves
@@ -80,7 +101,7 @@ void Table::Reserve(int64_t capacity) {
 }
 
 Status Table::AppendRowsFrom(const Table& src, const std::vector<int64_t>& rows) {
-  if (page_source_ != nullptr) {
+  if (!rows_resident()) {
     return Status::InvalidArgument("cannot append to a paged table");
   }
   if (!src.rows_resident()) {
@@ -169,7 +190,7 @@ Status Table::Validate() const {
   for (int i = 0; i < num_columns(); ++i) {
     // Non-resident paged tables keep columns row-free: num_rows_ counts
     // heap-file rows, the columns hold only dictionaries and paged stats.
-    const int64_t want = rows_resident_ ? num_rows_ : 0;
+    const int64_t want = rows_resident() ? num_rows_ : 0;
     if (columns_[static_cast<size_t>(i)].size() != want) {
       return Status::Internal("column " + std::to_string(i) + " has " +
                               std::to_string(columns_[static_cast<size_t>(i)].size()) +
@@ -182,28 +203,18 @@ Status Table::Validate() const {
   return Status::OK();
 }
 
-Status Table::AttachPageSource(std::shared_ptr<PageSource> source, bool rows_resident) {
+Status Table::AttachPageSource(std::shared_ptr<PageSource> source) {
   if (source == nullptr) {
     return Status::InvalidArgument("AttachPageSource requires a source");
   }
   if (page_source_ != nullptr) {
     return Status::InvalidArgument("table already has a page source");
   }
-  if (rows_resident) {
-    if (source->num_rows() != num_rows_) {
-      return Status::InvalidArgument(
-          "resident page source covers " + std::to_string(source->num_rows()) +
-          " rows, table has " + std::to_string(num_rows_));
-    }
-  } else {
-    if (num_rows_ != 0) {
-      return Status::InvalidArgument(
-          "non-resident page source requires an empty table");
-    }
-    num_rows_ = source->num_rows();
+  if (num_rows_ != 0) {
+    return Status::InvalidArgument("AttachPageSource requires an empty table");
   }
+  num_rows_ = source->num_rows();
   page_source_ = std::move(source);
-  rows_resident_ = rows_resident;
   return Status::OK();
 }
 
@@ -211,7 +222,7 @@ uint64_t Table::Fingerprint() const {
   Fnv64 h;
   h.UpdateU64(schema_->Digest());
   h.UpdateI64(num_rows_);
-  if (!rows_resident_) {
+  if (!rows_resident()) {
     // Rows live in the heap file; the writer's digest covers them (plus
     // validity and dictionaries), so it is the content under this schema.
     h.UpdateU64(page_source_->content_digest());

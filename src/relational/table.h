@@ -28,6 +28,13 @@ class Table {
   static Result<std::shared_ptr<Table>> FromRows(std::shared_ptr<Schema> schema,
                                                  const std::vector<Row>& rows);
 
+  /// Adopts column-at-a-time built columns, one per schema field with the
+  /// field's type and `num_rows` rows each (the row count is explicit so a
+  /// zero-column table can still hold rows), trimmed to their size.
+  static Result<std::shared_ptr<Table>> FromColumns(std::shared_ptr<Schema> schema,
+                                                    std::vector<Column> columns,
+                                                    int64_t num_rows);
+
   const std::shared_ptr<Schema>& schema() const { return schema_; }
   int num_columns() const { return static_cast<int>(columns_.size()); }
   int64_t num_rows() const { return num_rows_; }
@@ -95,30 +102,19 @@ class Table {
   /// content digest instead of the (absent) columns.
   uint64_t Fingerprint() const;
 
-  /// Attaches a paged row source (storage/paged_table.h).
-  ///
-  /// With rows_resident=false the table must be empty: its row count comes
-  /// from the source, its columns stay row-free (dictionaries and paged
-  /// stats only), and every scan goes page-at-a-time. With
-  /// rows_resident=true the source must cover exactly this table's rows —
-  /// the A/B shape where SetPagedStorageEnabled chooses in-memory vs paged
-  /// scans over the same logical data.
-  Status AttachPageSource(std::shared_ptr<PageSource> source, bool rows_resident);
+  /// Makes this (empty) table non-resident over a paged row source
+  /// (storage/paged_table.h): its row count comes from the source, its
+  /// columns stay row-free (dictionaries and paged stats only), and every
+  /// kernel scan pins the source's pages instead of slicing the columns.
+  Status AttachPageSource(std::shared_ptr<PageSource> source);
 
   /// The attached page source, or null. Shared so engine stats can snapshot
   /// cache counters while scans hold pins.
   const std::shared_ptr<PageSource>& page_source() const { return page_source_; }
 
-  /// True when this table's rows are materialized in its columns (always
-  /// true without a page source).
-  bool rows_resident() const { return rows_resident_; }
-
-  /// True when scans of this table must take the paged path: rows exist
-  /// only in the heap file, or a resident A/B table with the process-wide
-  /// paged toggle on.
-  bool UsesPagedScan() const {
-    return page_source_ != nullptr && (!rows_resident_ || PagedStorageEnabled());
-  }
+  /// True when this table's rows are materialized in its columns, i.e. it
+  /// has no page source.
+  bool rows_resident() const { return page_source_ == nullptr; }
 
  private:
   /// Cached incremental fingerprint state: one running per-column Fnv64 over
@@ -138,7 +134,6 @@ class Table {
   std::vector<Column> columns_;
   int64_t num_rows_ = 0;
   std::shared_ptr<PageSource> page_source_;
-  bool rows_resident_ = true;
   std::unique_ptr<FingerprintCell> fingerprint_cell_;
 };
 

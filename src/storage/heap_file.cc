@@ -251,19 +251,20 @@ Status HeapFileWriter::FlushPage() {
   for (int c = 0; c < schema_->num_fields(); ++c) {
     Column& col = staging_[static_cast<size_t>(c)];
     uint8_t* slice = buf + layout.slice_off[static_cast<size_t>(c)];
+    const ColumnChunk rows_view = col.Slice(0);
     const int64_t nulls = col.null_count();
     std::memcpy(slice, &nulls, sizeof(nulls));
-    std::memcpy(slice + 8, col.validity_data(), static_cast<size_t>(rows));
+    std::memcpy(slice + 8, rows_view.validity, static_cast<size_t>(rows));
     uint8_t* data = buf + layout.data_off[static_cast<size_t>(c)];
     switch (col.type()) {
       case DataType::kInt64:
-        std::memcpy(data, col.int64_data(), static_cast<size_t>(rows) * 8);
+        std::memcpy(data, rows_view.i64, static_cast<size_t>(rows) * 8);
         break;
       case DataType::kDouble:
-        std::memcpy(data, col.double_data(), static_cast<size_t>(rows) * 8);
+        std::memcpy(data, rows_view.f64, static_cast<size_t>(rows) * 8);
         break;
       case DataType::kString:
-        std::memcpy(data, col.codes_data(), static_cast<size_t>(rows) * 4);
+        std::memcpy(data, rows_view.codes, static_cast<size_t>(rows) * 4);
         break;
     }
     col.ClearRowsKeepDict();

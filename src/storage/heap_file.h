@@ -31,8 +31,8 @@ namespace cape {
 /// interns strings across the whole file in first-appearance order —
 /// the same order an in-memory Table's AppendRow produces — so codes in
 /// pages agree with the dictionary stored in the trailer (and with the
-/// source table's own codes, which is what makes resident A/B scans and
-/// the byte-identity fixtures possible).
+/// source table's own codes, which is what makes the resident-vs-paged
+/// byte-identity fixtures possible).
 ///
 /// All checksums and the content digest are FNV-1a (common/hash.h). Page
 /// checksums cover the page payload; the digest folds the schema digest,
@@ -156,7 +156,7 @@ class HeapFile {
 
 /// Convenience: streams every row of an in-memory table into a heap file.
 /// The file's dictionaries come out identical to the table's (same
-/// first-appearance interning order), which AttachHeapFile relies on.
+/// first-appearance interning order).
 Status WriteTableToHeapFile(const Table& table, const std::string& path,
                             int64_t rows_per_page = kDefaultRowsPerPage);
 

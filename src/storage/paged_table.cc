@@ -19,43 +19,8 @@ Result<TablePtr> OpenPagedTable(const std::string& path, int64_t budget_bytes) {
     col.SetPagedStats(cs.null_total, cs.min, cs.max);
   }
   auto source = std::make_shared<PagedTable>(std::move(file), budget_bytes);
-  CAPE_RETURN_IF_ERROR(table->AttachPageSource(std::move(source), /*rows_resident=*/false));
+  CAPE_RETURN_IF_ERROR(table->AttachPageSource(std::move(source)));
   return table;
-}
-
-Status AttachHeapFile(Table& table, const std::string& path, int64_t budget_bytes) {
-  if (!table.rows_resident()) {
-    return Status::InvalidArgument("AttachHeapFile requires a resident table");
-  }
-  CAPE_ASSIGN_OR_RETURN(std::shared_ptr<HeapFile> file, HeapFile::Open(path));
-  if (!(*file->schema() == *table.schema())) {
-    return Status::InvalidArgument("heap file schema " + file->schema()->ToString() +
-                                   " does not match table schema " +
-                                   table.schema()->ToString());
-  }
-  if (file->num_rows() != table.num_rows()) {
-    return Status::InvalidArgument(
-        "heap file holds " + std::to_string(file->num_rows()) + " rows, table has " +
-        std::to_string(table.num_rows()));
-  }
-  // Codes stored in pages are interpreted against the table's in-memory
-  // dictionaries on the resident A/B path, so they must agree exactly.
-  for (int c = 0; c < table.num_columns(); ++c) {
-    const Column& col = table.column(c);
-    if (col.type() != DataType::kString) continue;
-    const std::vector<std::string>& dict = file->dictionary(c);
-    bool same = col.dict_size() == static_cast<int64_t>(dict.size());
-    for (int32_t code = 0; same && code < col.dict_size(); ++code) {
-      same = col.DictString(code) == dict[static_cast<size_t>(code)];
-    }
-    if (!same) {
-      return Status::InvalidArgument("heap file dictionary for column " +
-                                     std::to_string(c) +
-                                     " does not match the table's");
-    }
-  }
-  auto source = std::make_shared<PagedTable>(std::move(file), budget_bytes);
-  return table.AttachPageSource(std::move(source), /*rows_resident=*/true);
 }
 
 }  // namespace cape

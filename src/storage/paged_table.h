@@ -15,8 +15,9 @@
 namespace cape {
 
 /// PageSource over a heap file + buffer manager: the storage half of an
-/// out-of-core Table. Pin/Unpin delegate to the buffer manager; cookies are
-/// frame indices.
+/// out-of-core Table, and the kernels' chunk source for it (the resident
+/// source is the table's own Column slices; relational/kernels.h). Pin/Unpin
+/// delegate to the buffer manager; cookies are frame indices.
 class PagedTable : public PageSource {
  public:
   PagedTable(std::shared_ptr<HeapFile> file, int64_t budget_bytes)
@@ -54,14 +55,6 @@ class PagedTable : public PageSource {
 /// null_count/Min/Max answer in O(1)). `budget_bytes` caps the page cache —
 /// an out-of-core scan works with any budget, down to a single page.
 Result<TablePtr> OpenPagedTable(const std::string& path, int64_t budget_bytes);
-
-/// Attaches a heap file to a fully in-memory table as its *resident* page
-/// source — the A/B shape: the file must hold exactly the table's rows (use
-/// WriteTableToHeapFile on the same table) so SetPagedStorageEnabled
-/// switches scans between the in-memory arrays and the paged path over
-/// identical data. Schema, row count, and per-column dictionaries must
-/// match (codes in pages are interpreted against the table's dictionary).
-Status AttachHeapFile(Table& table, const std::string& path, int64_t budget_bytes);
 
 }  // namespace cape
 

@@ -42,17 +42,6 @@ class TempFile {
   std::string path_;
 };
 
-class PagedModeGuard {
- public:
-  explicit PagedModeGuard(bool enabled) : saved_(PagedStorageEnabled()) {
-    SetPagedStorageEnabled(enabled);
-  }
-  ~PagedModeGuard() { SetPagedStorageEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 /// Deterministic mixed-type table spanning several 2048-row pages: a skewed
 /// string column, a nullable int64, a nullable double, and a second string
 /// column whose dictionary grows late in the file (so file-global interning
@@ -220,7 +209,6 @@ TEST(BufferManagerTest, PinUnpinMaintainsCountersAndViews) {
   const int64_t page_bytes = source->heap_file()->page_bytes();
 
   EXPECT_FALSE((*paged)->rows_resident());
-  EXPECT_TRUE((*paged)->UsesPagedScan());
   EXPECT_EQ(source->num_pages(), 3);
   EXPECT_EQ(source->rows_per_page(), kRowsPerPage);
 
@@ -395,35 +383,6 @@ TEST(BufferManagerTest, PagedScanMatchesInMemoryOperatorsByteForByte) {
     ASSERT_TRUE(pg.ok()) << pg.status().ToString();
     EXPECT_EQ(WriteCsvString(**mem), WriteCsvString(**pg));
   }
-}
-
-TEST(BufferManagerTest, AttachHeapFileValidatesAndTogglesResidentScans) {
-  TablePtr table = MakeMixedTable(5000);
-  TempFile file("cape_bm_attach.cape");
-  ASSERT_TRUE(WriteTableToHeapFile(*table, file.path(), kRowsPerPage).ok());
-
-  // A different table (row count mismatch) must be rejected.
-  TablePtr other = MakeMixedTable(4000);
-  EXPECT_FALSE(AttachHeapFile(*other, file.path(), 1 << 20).ok());
-
-  ASSERT_TRUE(AttachHeapFile(*table, file.path(), 1 << 20).ok());
-  EXPECT_TRUE(table->rows_resident());
-
-  // A/B: the process toggle flips the same resident table between the
-  // in-memory arrays and the paged path; outputs are byte-identical and the
-  // paged mode provably went through the buffer manager.
-  std::string rendered[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    PagedModeGuard guard(mode == 1);
-    EXPECT_EQ(table->UsesPagedScan(), mode == 1);
-    auto grouped = GroupByAggregate(*table, std::vector<int>{0, 3},
-                                    {AggregateSpec::CountStar("n"),
-                                     AggregateSpec::Sum(2, "val_sum")});
-    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
-    rendered[mode] = WriteCsvString(**grouped);
-  }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_GT(table->page_source()->stats().misses, 0);
 }
 
 TEST(BufferManagerTest, EngineRunStatsExposePageCountersAndMiningMatches) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
@@ -13,6 +15,8 @@
 #include "pattern/pattern_io.h"
 #include "relational/kernels.h"
 #include "relational/operators.h"
+#include "storage/heap_file.h"
+#include "storage/paged_table.h"
 
 namespace cape {
 namespace {
@@ -285,79 +289,65 @@ TEST(ParallelEquivalenceTest, TruncatedParallelExplainIsSubsetOfUntimed) {
   }
 }
 
-/// Dictionary-kernel equivalence: the dictionary-code kernels (DESIGN.md
-/// §10) are a pure representation change. Mining and explanation output must
-/// be byte-identical to the legacy string-comparison path at every thread
-/// count — the legacy path *is* the pre-encoding engine, kept behind the
-/// process-wide switch exactly so this fixture can pin the equivalence.
+/// Dictionary-code equivalence (DESIGN.md §10): string cells are stored
+/// as dictionary codes, a pure representation change. Ordinary tables
+/// assign codes in first-appearance order, which is also the kernels' group
+/// order, so output that leaked code order would still look right there.
+/// The same rows over dictionaries loaded in reverse byte order pull codes
+/// away from both appearance and string order: mining and explanation must
+/// stay byte-identical to the first-appearance-coded engine at every thread
+/// count.
 
-class DictionaryVsLegacyTest : public ::testing::Test {
- protected:
-  void SetUp() override { saved_ = DictionaryKernelsEnabled(); }
-  void TearDown() override { SetDictionaryKernelsEnabled(saved_); }
-
- private:
-  bool saved_ = true;
-};
-
-TEST_F(DictionaryVsLegacyTest, MiningIsByteIdenticalAcrossThreadCounts) {
-  for (const char* miner : {"CUBE", "SHARE-GRP", "ARP-MINE"}) {
-    SetDictionaryKernelsEnabled(false);
-    Engine legacy = MakeEngine(5);
-    legacy.mining_config().num_threads = 1;
-    ASSERT_TRUE(legacy.MinePatterns(miner).ok());
-    const std::string expected = SerializePatternSet(legacy.patterns(), legacy.schema());
-
-    SetDictionaryKernelsEnabled(true);
-    for (int threads : {1, 2, 4, 8}) {
-      Engine engine = MakeEngine(5);
-      engine.mining_config().num_threads = threads;
-      ASSERT_TRUE(engine.MinePatterns(miner).ok());
-      EXPECT_EQ(SerializePatternSet(engine.patterns(), engine.schema()), expected)
-          << miner << " with dictionary kernels, " << threads << " threads";
-    }
+/// MakeEngine's relation rebuilt with every string dictionary reversed.
+Engine MakeReversedDictionaryEngine(uint64_t seed) {
+  Engine source = MakeEngine(seed);
+  const Table& table = *source.table();
+  auto reversed = std::make_shared<Table>(table.schema());
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const Column& col = table.column(c);
+    if (col.type() != DataType::kString) continue;
+    std::vector<std::string> entries;
+    for (int32_t code = 0; code < col.dict_size(); ++code) entries.push_back(col.DictString(code));
+    std::sort(entries.rbegin(), entries.rend());
+    EXPECT_TRUE(reversed->mutable_column(c).LoadDictionary(std::move(entries)).ok());
   }
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    EXPECT_TRUE(reversed->AppendRow(table.GetRow(r)).ok());
+  }
+  Engine engine = std::move(Engine::FromTable(std::move(reversed))).ValueOrDie();
+  engine.mining_config() = source.mining_config();
+  return engine;
 }
 
-TEST_F(DictionaryVsLegacyTest, ExplanationsAreByteIdenticalAcrossThreadCounts) {
-  SetDictionaryKernelsEnabled(false);
-  Engine legacy = MakeEngine(5);
-  ASSERT_TRUE(legacy.MinePatterns().ok());
-  auto lq = legacy.MakeQuestion({"author", "venue", "year"},
-                                {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-                                 Value::Int64(2007)},
-                                AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(lq.ok());
-  legacy.explain_config().num_threads = 1;
-  auto reference = legacy.Explain(*lq);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_FALSE(reference->explanations.empty());
-
-  SetDictionaryKernelsEnabled(true);
-  Engine engine = MakeEngine(5);
-  ASSERT_TRUE(engine.MinePatterns().ok());
-  auto q = engine.MakeQuestion({"author", "venue", "year"},
-                               {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-                                Value::Int64(2007)},
-                               AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(q.ok());
+/// Engines under comparison: `want` at one thread is the reference; `got`
+/// must match it bit for bit at 1/2/4/8 threads, for both generators.
+void ExpectExplanationsMatchAcrossThreadCounts(Engine& want_engine, Engine& got_engine) {
+  const std::vector<Value> values = {Value::String(kDblpPlantedAuthor),
+                                     Value::String("SIGKDD"), Value::Int64(2007)};
+  ASSERT_TRUE(want_engine.MinePatterns().ok());
+  auto wq = want_engine.MakeQuestion({"author", "venue", "year"}, values, AggFunc::kCount, "*",
+                                     Direction::kLow);
+  ASSERT_TRUE(wq.ok());
+  ASSERT_TRUE(got_engine.MinePatterns().ok());
+  auto gq = got_engine.MakeQuestion({"author", "venue", "year"}, values, AggFunc::kCount, "*",
+                                    Direction::kLow);
+  ASSERT_TRUE(gq.ok()) << gq.status().ToString();
   for (bool optimized : {false, true}) {
-    legacy.explain_config().num_threads = 1;
-    SetDictionaryKernelsEnabled(false);
-    auto want_result = legacy.Explain(*lq, optimized);
-    SetDictionaryKernelsEnabled(true);
+    want_engine.explain_config().num_threads = 1;
+    auto want_result = want_engine.Explain(*wq, optimized);
     ASSERT_TRUE(want_result.ok());
+    ASSERT_FALSE(want_result->explanations.empty());
     for (int threads : {1, 2, 4, 8}) {
-      engine.explain_config().num_threads = threads;
-      auto got_result = engine.Explain(*q, optimized);
-      ASSERT_TRUE(got_result.ok());
+      got_engine.explain_config().num_threads = threads;
+      auto got_result = got_engine.Explain(*gq, optimized);
+      ASSERT_TRUE(got_result.ok()) << got_result.status().ToString();
       ASSERT_EQ(got_result->explanations.size(), want_result->explanations.size())
           << threads << " threads, optimized=" << optimized;
       for (size_t i = 0; i < got_result->explanations.size(); ++i) {
         const Explanation& got = got_result->explanations[i];
         const Explanation& want = want_result->explanations[i];
-        // Bit-exact: the code kernels must score the same candidates with
-        // the same floating-point operations as the legacy path.
+        // Bit-exact: both engines feed the same kernels the same rows in
+        // the same order, so every floating-point operation repeats.
         EXPECT_EQ(got.score, want.score);
         EXPECT_EQ(got.tuple_values, want.tuple_values);
         EXPECT_EQ(got.relevant_pattern, want.relevant_pattern);
@@ -369,89 +359,85 @@ TEST_F(DictionaryVsLegacyTest, ExplanationsAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
-/// Vectorized-kernel equivalence (DESIGN.md §14): the block/morsel kernels
-/// are a pure execution-strategy change. Mining with every algorithm and
-/// explanation with both generators must be byte-identical to the
-/// row-at-a-time legacy path at every thread count — the legacy path is kept
-/// behind SetVectorizedKernelsEnabled exactly so this fixture can pin the
-/// equivalence.
+TEST(DictionaryVsLegacyTest, MiningIsByteIdenticalAcrossThreadCounts) {
+  for (const char* miner : {"CUBE", "SHARE-GRP", "ARP-MINE"}) {
+    Engine first_seen = MakeEngine(5);
+    first_seen.mining_config().num_threads = 1;
+    ASSERT_TRUE(first_seen.MinePatterns(miner).ok());
+    const std::string expected =
+        SerializePatternSet(first_seen.patterns(), first_seen.schema());
+    for (int threads : {1, 2, 4, 8}) {
+      Engine reversed = MakeReversedDictionaryEngine(5);
+      reversed.mining_config().num_threads = threads;
+      ASSERT_TRUE(reversed.MinePatterns(miner).ok());
+      EXPECT_EQ(SerializePatternSet(reversed.patterns(), reversed.schema()), expected)
+          << miner << " over reversed dictionaries, " << threads << " threads";
+    }
+  }
+}
 
+TEST(DictionaryVsLegacyTest, ExplanationsAreByteIdenticalAcrossThreadCounts) {
+  Engine first_seen = MakeEngine(5);
+  Engine reversed = MakeReversedDictionaryEngine(5);
+  ExpectExplanationsMatchAcrossThreadCounts(first_seen, reversed);
+}
+
+/// Chunk-width equivalence (DESIGN.md §14): there is one set of block
+/// kernels, so the execution-strategy axis that remains is how rows reach
+/// them. A resident table is one whole-table chunk of Column slices; its
+/// heap-file twin (buffer manager, a page budget of a few pages so scans
+/// evict and re-read) is fed one kernel block per pinned page, the
+/// narrowest chunk the kernels accept. Mining with every algorithm and
+/// explanation with both generators over the paged twin must be
+/// byte-identical to the resident engine at every thread count.
+
+/// Builds the paged twin of MakeEngine's relation; the heap file is
+/// removed at test exit.
 class VectorizedVsLegacyTest : public ::testing::Test {
  protected:
-  void SetUp() override { saved_ = VectorizedKernelsEnabled(); }
-  void TearDown() override { SetVectorizedKernelsEnabled(saved_); }
+  void TearDown() override {
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+
+  Engine MakePagedEngine(uint64_t seed) {
+    Engine resident = MakeEngine(seed);
+    if (path_.empty()) {
+      path_ = ::testing::TempDir() + "cape_determinism_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".cape";
+      EXPECT_TRUE(
+          WriteTableToHeapFile(*resident.table(), path_, /*rows_per_page=*/kKernelBlockSize).ok());
+    }
+    auto paged = OpenPagedTable(path_, /*budget_bytes=*/1 << 17);
+    EXPECT_TRUE(paged.ok()) << paged.status().ToString();
+    Engine engine = std::move(Engine::FromTable(*paged)).ValueOrDie();
+    engine.mining_config() = resident.mining_config();
+    return engine;
+  }
 
  private:
-  bool saved_ = true;
+  std::string path_;
 };
 
 TEST_F(VectorizedVsLegacyTest, MiningIsByteIdenticalAcrossThreadCounts) {
   for (const char* miner : {"CUBE", "SHARE-GRP", "ARP-MINE"}) {
-    SetVectorizedKernelsEnabled(false);
-    Engine legacy = MakeEngine(5);
-    legacy.mining_config().num_threads = 1;
-    ASSERT_TRUE(legacy.MinePatterns(miner).ok());
-    const std::string expected = SerializePatternSet(legacy.patterns(), legacy.schema());
-
-    SetVectorizedKernelsEnabled(true);
+    Engine resident = MakeEngine(5);
+    resident.mining_config().num_threads = 1;
+    ASSERT_TRUE(resident.MinePatterns(miner).ok());
+    const std::string expected = SerializePatternSet(resident.patterns(), resident.schema());
     for (int threads : {1, 2, 4, 8}) {
-      Engine engine = MakeEngine(5);
-      engine.mining_config().num_threads = threads;
-      ASSERT_TRUE(engine.MinePatterns(miner).ok());
-      EXPECT_EQ(SerializePatternSet(engine.patterns(), engine.schema()), expected)
-          << miner << " with vectorized kernels, " << threads << " threads";
+      Engine paged = MakePagedEngine(5);
+      paged.mining_config().num_threads = threads;
+      ASSERT_TRUE(paged.MinePatterns(miner).ok());
+      EXPECT_EQ(SerializePatternSet(paged.patterns(), paged.schema()), expected)
+          << miner << " over the paged twin, " << threads << " threads";
     }
   }
 }
 
 TEST_F(VectorizedVsLegacyTest, ExplanationsAreByteIdenticalAcrossThreadCounts) {
-  SetVectorizedKernelsEnabled(false);
-  Engine legacy = MakeEngine(5);
-  ASSERT_TRUE(legacy.MinePatterns().ok());
-  auto lq = legacy.MakeQuestion({"author", "venue", "year"},
-                                {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-                                 Value::Int64(2007)},
-                                AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(lq.ok());
-  legacy.explain_config().num_threads = 1;
-  auto reference = legacy.Explain(*lq);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_FALSE(reference->explanations.empty());
-
-  SetVectorizedKernelsEnabled(true);
-  Engine engine = MakeEngine(5);
-  ASSERT_TRUE(engine.MinePatterns().ok());
-  auto q = engine.MakeQuestion({"author", "venue", "year"},
-                               {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-                                Value::Int64(2007)},
-                               AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(q.ok());
-  for (bool optimized : {false, true}) {
-    SetVectorizedKernelsEnabled(false);
-    legacy.explain_config().num_threads = 1;
-    auto want_result = legacy.Explain(*lq, optimized);
-    SetVectorizedKernelsEnabled(true);
-    ASSERT_TRUE(want_result.ok());
-    for (int threads : {1, 2, 4, 8}) {
-      engine.explain_config().num_threads = threads;
-      auto got_result = engine.Explain(*q, optimized);
-      ASSERT_TRUE(got_result.ok());
-      ASSERT_EQ(got_result->explanations.size(), want_result->explanations.size())
-          << threads << " threads, optimized=" << optimized;
-      for (size_t i = 0; i < got_result->explanations.size(); ++i) {
-        const Explanation& got = got_result->explanations[i];
-        const Explanation& want = want_result->explanations[i];
-        // Bit-exact: the block kernels must score the same candidates with
-        // the same floating-point operations as the row-at-a-time path.
-        EXPECT_EQ(got.score, want.score);
-        EXPECT_EQ(got.tuple_values, want.tuple_values);
-        EXPECT_EQ(got.relevant_pattern, want.relevant_pattern);
-        EXPECT_EQ(got.refinement_pattern, want.refinement_pattern);
-        EXPECT_EQ(got.deviation, want.deviation);
-        EXPECT_EQ(got.distance, want.distance);
-      }
-    }
-  }
+  Engine resident = MakeEngine(5);
+  Engine paged = MakePagedEngine(5);
+  ExpectExplanationsMatchAcrossThreadCounts(resident, paged);
 }
 
 /// Serving-cache determinism: many threads hitting one warm PatternCache

@@ -7,22 +7,10 @@
 #include "relational/csv.h"
 #include "relational/operators.h"
 #include "relational/table.h"
+#include "reference_ops.h"
 
 namespace cape {
 namespace {
-
-/// Restores the dictionary-kernel switch on scope exit so a failing test
-/// cannot leak legacy mode into the rest of the suite.
-class KernelModeGuard {
- public:
-  explicit KernelModeGuard(bool enabled) : saved_(DictionaryKernelsEnabled()) {
-    SetDictionaryKernelsEnabled(enabled);
-  }
-  ~KernelModeGuard() { SetDictionaryKernelsEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 TEST(DictionaryTest, FirstAppearanceCodesAndNullInterleaving) {
   Column col(DataType::kString);
@@ -182,35 +170,35 @@ TEST(DictionaryTest, KernelsAndLegacyAgreeOnFilterGroupSortDistinct) {
   const std::vector<AggregateSpec> aggs = {AggregateSpec::CountStar("n"),
                                            AggregateSpec::Sum(2, "pop_sum")};
 
-  std::string filtered[2], grouped[2], sorted[2], distinct[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    KernelModeGuard guard(mode == 0);
-    auto f = FilterEquals(*table, conditions);
-    auto g = GroupByAggregate(*table, std::vector<int>{0, 1}, aggs);
-    auto s = SortTable(*table, keys);
-    auto d = ProjectDistinct(*table, {0});
-    ASSERT_TRUE(f.ok() && g.ok() && s.ok() && d.ok());
-    filtered[mode] = WriteCsvString(**f);
-    grouped[mode] = WriteCsvString(**g);
-    sorted[mode] = WriteCsvString(**s);
-    distinct[mode] = WriteCsvString(**d);
-  }
-  EXPECT_EQ(filtered[0], filtered[1]);
-  EXPECT_EQ(grouped[0], grouped[1]);
-  EXPECT_EQ(sorted[0], sorted[1]);
-  EXPECT_EQ(distinct[0], distinct[1]);
+  // The code kernels against the boxed row-at-a-time reference (the
+  // legacy string-comparison semantics).
+  auto f = FilterEquals(*table, conditions);
+  auto g = GroupByAggregate(*table, std::vector<int>{0, 1}, aggs);
+  auto s = SortTable(*table, keys);
+  auto d = ProjectDistinct(*table, {0});
+  ASSERT_TRUE(f.ok() && g.ok() && s.ok() && d.ok());
+  EXPECT_EQ(WriteCsvString(**f), WriteCsvString(*reference::FilterEquals(*table, conditions)));
+  EXPECT_EQ(WriteCsvString(**g),
+            WriteCsvString(*reference::GroupByAggregate(*table, {0, 1}, aggs)));
+  EXPECT_EQ(WriteCsvString(**s), WriteCsvString(*reference::SortTable(*table, keys)));
+  EXPECT_EQ(WriteCsvString(**d), WriteCsvString(*reference::ProjectDistinct(*table, {0})));
 }
 
 TEST(DictionaryTest, SortOrdersStringsNullsFirstBothModes) {
   TablePtr table = MakeCityTable();
-  for (bool enabled : {true, false}) {
-    KernelModeGuard guard(enabled);
-    auto sorted = SortTable(*table, {{0, true}});
+  // Both directions: NULL first ascending, last descending, strings in
+  // byte order either way.
+  for (bool ascending : {true, false}) {
+    auto sorted = SortTable(*table, {{0, ascending}});
     ASSERT_TRUE(sorted.ok());
     ASSERT_EQ((*sorted)->num_rows(), 8);
-    EXPECT_TRUE((*sorted)->GetValue(0, 0).is_null());
+    const int64_t null_row = ascending ? 0 : 7;
+    EXPECT_TRUE((*sorted)->GetValue(null_row, 0).is_null());
     std::vector<std::string> got;
-    for (int64_t r = 1; r < 8; ++r) got.push_back((*sorted)->GetValue(r, 0).string_value());
+    for (int64_t r = ascending ? 1 : 0; r < (ascending ? 8 : 7); ++r) {
+      got.push_back((*sorted)->GetValue(r, 0).string_value());
+    }
+    if (!ascending) std::reverse(got.begin(), got.end());
     EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
   }
 }

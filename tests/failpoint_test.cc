@@ -24,6 +24,13 @@
 namespace cape {
 namespace {
 
+/// A temp path unique to the running test: ctest runs every case as its own
+/// process, possibly in parallel, so fixed names would collide.
+std::string TestPath(const std::string& stem, const std::string& ext = "") {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + stem + "_" + info->test_suite_name() + "_" + info->name() + ext;
+}
+
 // NOTE: this test must stay first in the file. CAPE_FAILPOINTS is parsed
 // exactly once, at the process's first failpoint check; under ctest each
 // test runs in its own process, and in a direct ./failpoint_test run
@@ -198,12 +205,12 @@ PipelineFixture MakeFixture() {
   auto select = ParseSelect("SELECT venue, count(*) FROM pub GROUP BY venue;");
   EXPECT_TRUE(select.ok());
 
-  const std::string csv_path = ::testing::TempDir() + "cape_failpoint.csv";
+  const std::string csv_path = TestPath("cape_failpoint", ".csv");
   {
     std::ofstream out(csv_path);
     out << "a,b\n1,x\n2,y\n";
   }
-  const std::string patterns_path = ::testing::TempDir() + "cape_failpoint.patterns";
+  const std::string patterns_path = TestPath("cape_failpoint", ".patterns");
   EXPECT_TRUE(e.SavePatterns(patterns_path).ok());
 
   return PipelineFixture{*table,
@@ -233,7 +240,7 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
   }
   if (site == "sql.execute") return ExecuteSelect(fx.catalog, fx.select).status();
   if (site == "pattern_io.save") {
-    return fx.engine.SavePatterns(::testing::TempDir() + "cape_failpoint_out.patterns");
+    return fx.engine.SavePatterns(TestPath("cape_failpoint_out", ".patterns"));
   }
   if (site == "pattern_io.load") return fx.engine.LoadPatterns(fx.patterns_path);
   if (site == "engine.cache_admit") {
@@ -247,13 +254,13 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
     PatternCache cache(/*byte_budget=*/1ull << 26);
     cache.Insert(fx.table->Fingerprint(), /*mining_config_digest=*/1,
                  fx.engine.shared_patterns(), fx.table->schema());
-    return cache.SaveToDirectory(::testing::TempDir() + "cape_failpoint_cache_out");
+    return cache.SaveToDirectory(TestPath("cape_failpoint_cache_out"));
   }
   if (site == "pattern_cache.load_entry") {
     PatternCache cache(/*byte_budget=*/1ull << 26);
     cache.Insert(fx.table->Fingerprint(), /*mining_config_digest=*/1,
                  fx.engine.shared_patterns(), fx.table->schema());
-    const std::string dir = ::testing::TempDir() + "cape_failpoint_cache_load";
+    const std::string dir = TestPath("cape_failpoint_cache_load");
     CAPE_RETURN_IF_ERROR(cache.SaveToDirectory(dir));
     PatternCache fresh(/*byte_budget=*/1ull << 26);
     return fresh.LoadFromDirectory(dir, *fx.table->schema(), fx.table->Fingerprint())
@@ -273,7 +280,7 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
     return fx.engine.AppendAndRemine({fx.table->GetRow(0)});
   }
   if (site == "storage.page_read") {
-    const std::string path = ::testing::TempDir() + "cape_failpoint_heap.cape";
+    const std::string path = TestPath("cape_failpoint_heap", ".cape");
     CAPE_RETURN_IF_ERROR(WriteTableToHeapFile(*fx.table, path));
     // Open touches only the preamble/trailer; the page-read site fires on
     // the first scan, which must surface it as a clean Status.
@@ -324,7 +331,7 @@ TEST(FailpointTest, FaultedMiningLeavesEnginePatternsIntact) {
 
 TEST(FailpointTest, FaultedSaveDoesNotCreateTheFile) {
   PipelineFixture fx = MakeFixture();
-  const std::string path = ::testing::TempDir() + "cape_failpoint_never_written.patterns";
+  const std::string path = TestPath("cape_failpoint_never_written", ".patterns");
   std::remove(path.c_str());
 
   failpoint::ScopedFailpoint fp("pattern_io.save");
@@ -375,7 +382,7 @@ TEST(FailpointTest, LookupRaceDegradesToMiss) {
 
 TEST(FailpointTest, PoisonedDiskEntryDegradesToColdMine) {
   PipelineFixture fx = MakeFixture();
-  const std::string dir = ::testing::TempDir() + "cape_failpoint_poisoned_store";
+  const std::string dir = TestPath("cape_failpoint_poisoned_store");
 
   // Persist a valid cache snapshot for this table.
   {

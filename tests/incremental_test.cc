@@ -1,7 +1,7 @@
 // PatternMaintainer unit tests (DESIGN.md §16): the incremental maintenance
 // core in isolation, plus its engine integration (AppendAndRemine) and the
 // sampled first-pass miner. The broad byte-identity oracle across seeds,
-// schedules, storage toggles, and thread counts lives in
+// schedules, resident and paged scratch mines, and thread counts lives in
 // random_equivalence_test; these tests pin the contracts that suite assumes —
 // transactional Absorb, reusability after stop/fault, unsupported-config
 // rejection, and the approximate-mode markers.

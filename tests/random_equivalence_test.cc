@@ -1,16 +1,19 @@
 // Randomized equivalence suite (DESIGN.md §11): seeded generators of small
-// random tables — mixed types, NULLs, skewed dictionaries — drive two
-// property checks that the hand-written fixtures cannot cover by breadth:
+// random tables — mixed types, NULLs, skewed dictionaries — drive property
+// checks that the hand-written fixtures cannot cover by breadth:
 //
-//  1. Dictionary-code kernels vs the legacy string path produce identical
-//     GroupByAggregate / FilterEquals / SortTable output on every table.
+//  1. Every relational kernel, run on a resident table and on its
+//     non-resident heap-file twin (OpenPagedTable), produces output
+//     byte-identical to the row-at-a-time reference evaluator
+//     (reference_ops.h): the two chunk sources and an independent
+//     implementation agree on every seed.
 //  2. A pattern set round-tripped through the binary store (and the text
 //     form) is byte-identical to the freshly mined one.
-//  3. The out-of-core paged scan path (heap file + buffer manager) produces
-//     byte-identical operator outputs and mined pattern sets to the
-//     in-memory arrays, on every table, under every kernel-toggle
-//     combination and thread count (the PagedRandomEquivalenceTest suite;
-//     sanitizer CI selects it with `ctest -R Paged`).
+//  3. Out-of-core mining is byte-identical to in-memory mining at every
+//     thread count (the PagedRandomEquivalenceTest suite; sanitizer CI
+//     selects it with `ctest -R Paged`).
+//  4. Incremental maintenance lands on the same bytes as mining from
+//     scratch, resident or paged (IncrementalVsScratchTest).
 //
 // Every test is parameterized over a fixed seed list, so each seed is its
 // own ctest entry and a failure names the reproducing seed directly. The
@@ -18,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -30,92 +35,100 @@
 #include "relational/csv.h"
 #include "relational/kernels.h"
 #include "relational/operators.h"
-#include "relational/page_source.h"
 #include "relational/table.h"
 #include "storage/heap_file.h"
 #include "storage/paged_table.h"
 #include "random_table.h"
+#include "reference_ops.h"
 
 namespace cape {
 namespace {
 
-class KernelModeGuard {
- public:
-  explicit KernelModeGuard(bool enabled) : saved_(DictionaryKernelsEnabled()) {
-    SetDictionaryKernelsEnabled(enabled);
-  }
-  ~KernelModeGuard() { SetDictionaryKernelsEnabled(saved_); }
+using Conditions = std::vector<std::pair<int, Value>>;
 
- private:
-  bool saved_;
+std::string Csv(const Result<TablePtr>& table) {
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.ok() ? WriteCsvString(**table) : "<" + table.status().ToString() + ">";
+}
+
+std::string Csv(const TablePtr& table) { return WriteCsvString(*table); }
+
+/// A temp-file path unique to the running test (ctest runs each case as
+/// its own process, possibly in parallel).
+std::string TempPath(const std::string& stem) {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "_" + info->name();
+  for (char& c : name) {
+    if (c == '/') c = '_';
+  }
+  return ::testing::TempDir() + stem + "_" + name + ".cape";
+}
+
+/// A resident table plus its heap-file twin opened as a non-resident paged
+/// table under a deliberately tight budget (~2 pages of the large tables),
+/// with the temp file removed at scope exit. The twin's kernels pin pages;
+/// the resident table's kernels slice its columns.
+struct PagedFixture {
+  TablePtr resident;
+  TablePtr paged;
+  std::string path;
+
+  ~PagedFixture() {
+    paged.reset();
+    if (!path.empty()) std::remove(path.c_str());
+  }
 };
 
-class VectorizedModeGuard {
- public:
-  explicit VectorizedModeGuard(bool enabled) : saved_(VectorizedKernelsEnabled()) {
-    SetVectorizedKernelsEnabled(enabled);
-  }
-  ~VectorizedModeGuard() { SetVectorizedKernelsEnabled(saved_); }
+void OpenTwin(TablePtr table, PagedFixture* fx) {
+  fx->resident = std::move(table);
+  fx->path = TempPath("cape_paged_equiv");
+  ASSERT_TRUE(WriteTableToHeapFile(*fx->resident, fx->path, /*rows_per_page=*/2048).ok());
+  auto opened = OpenPagedTable(fx->path, /*budget_bytes=*/1 << 17);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  fx->paged = *opened;
+}
 
- private:
-  bool saved_;
-};
-
-class RandomEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RandomEquivalenceTest, KernelsMatchLegacyOnRandomTables) {
-  TablePtr table = MakeRandomTable(GetParam());
-  const std::vector<AggregateSpec> aggs = {AggregateSpec::CountStar("n"),
-                                           AggregateSpec::Sum(2, "num_sum"),
-                                           AggregateSpec::Sum(3, "val_sum")};
-  // Filter values chosen so some conditions hit, some miss, one is NULL.
-  const std::vector<std::vector<std::pair<int, Value>>> filters = {
-      {{0, Value::String("alpha")}},
-      {{0, Value::String("absent")}},
-      {{0, Value::Null()}},
-      {{0, Value::String("g%mma")}, {1, Value::String("ICDE")}},
-      {{2, Value::Int64(7)}},
-  };
-  const std::vector<std::vector<SortKey>> sort_keys = {
-      {{0, true}},
-      {{0, false}, {2, true}},
-      {{1, true}, {3, false}, {0, true}},
-  };
-
-  // Render every operator output under both kernel modes and compare bytes.
-  std::vector<std::string> rendered[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    KernelModeGuard guard(mode == 0);
-    for (const auto& conditions : filters) {
-      auto filtered = FilterEquals(*table, conditions);
-      ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
-      rendered[mode].push_back(WriteCsvString(**filtered));
+/// Checks σ, count and fused σ→γ (hence γ and distinct, which are the
+/// no-condition and no-aggregate shapes) on both chunk sources against the
+/// reference evaluator.
+void ExpectKernelsMatchReference(const PagedFixture& fx,
+                                 const std::vector<Conditions>& filters,
+                                 const std::vector<std::vector<int>>& group_sets,
+                                 const std::vector<AggregateSpec>& aggs,
+                                 const std::string& label) {
+  const Table& ref = *fx.resident;
+  for (const Table* t : {fx.resident.get(), fx.paged.get()}) {
+    const std::string where = label + (t == fx.paged.get() ? " paged" : " resident");
+    for (size_t f = 0; f < filters.size(); ++f) {
+      const Conditions& conditions = filters[f];
+      EXPECT_EQ(Csv(FilterEquals(*t, conditions)),
+                Csv(reference::FilterEquals(ref, conditions)))
+          << where << " filter " << f;
+      auto count = CountFilterMatches(*t, conditions);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(*count, reference::CountMatches(ref, conditions)) << where << " filter " << f;
+      for (const std::vector<int>& group_cols : group_sets) {
+        EXPECT_EQ(Csv(FilterGroupAggregate(*t, conditions, group_cols, aggs)),
+                  Csv(reference::FilterGroupAggregate(ref, conditions, group_cols, aggs)))
+            << where << " filter " << f << " groups " << group_cols.size();
+      }
     }
-    for (const std::vector<int>& group_cols :
-         std::vector<std::vector<int>>{{0}, {0, 1}, {1, 2}, {}}) {
-      auto grouped = GroupByAggregate(*table, group_cols, aggs);
-      ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
-      rendered[mode].push_back(WriteCsvString(**grouped));
+    for (const std::vector<int>& group_cols : group_sets) {
+      EXPECT_EQ(Csv(GroupByAggregate(*t, group_cols, aggs)),
+                Csv(reference::GroupByAggregate(ref, group_cols, aggs)))
+          << where << " groups " << group_cols.size();
+      EXPECT_EQ(Csv(ProjectDistinct(*t, group_cols)),
+                Csv(reference::ProjectDistinct(ref, group_cols)))
+          << where << " distinct " << group_cols.size();
     }
-    for (const auto& keys : sort_keys) {
-      auto sorted = SortTable(*table, keys);
-      ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-      rendered[mode].push_back(WriteCsvString(**sorted));
-    }
-  }
-  ASSERT_EQ(rendered[0].size(), rendered[1].size());
-  for (size_t i = 0; i < rendered[0].size(); ++i) {
-    EXPECT_EQ(rendered[0][i], rendered[1][i]) << "operator output " << i << " differs "
-                                              << "(seed " << GetParam() << ")";
   }
 }
 
-TEST_P(RandomEquivalenceTest, VectorizedKernelsMatchLegacyOnRandomTables) {
-  TablePtr table = MakeRandomTable(GetParam());
-  // Aggregates cover every update shape: mask popcounts (count(*) and
-  // count(col) over a nullable column), the dual int64 sum, the double
-  // sum/avg, and the boxed min/max comparisons (numeric and string).
-  const std::vector<AggregateSpec> aggs = {
+/// Aggregates covering every update shape: mask popcounts (count(*) and
+/// count(col) over a nullable column), the dual int64 sum, the double
+/// sum/avg, and the boxed min/max comparisons (numeric and string).
+std::vector<AggregateSpec> AllAggregateShapes() {
+  return {
       AggregateSpec::CountStar("n"),
       AggregateSpec{AggFunc::kCount, 3, "val_n"},
       AggregateSpec::Sum(2, "num_sum"),
@@ -123,10 +136,43 @@ TEST_P(RandomEquivalenceTest, VectorizedKernelsMatchLegacyOnRandomTables) {
       AggregateSpec::Min(3, "val_min"),
       AggregateSpec::Max(0, "cat_max"),
   };
+}
+
+class RandomEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomEquivalenceTest, KernelsMatchLegacyOnRandomTables) {
+  // "Legacy" is the row-at-a-time boxed evaluation the kernels replaced;
+  // it lives on as the reference evaluator.
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(MakeRandomTable(GetParam()), &fx));
+  const std::vector<AggregateSpec> aggs = {AggregateSpec::CountStar("n"),
+                                           AggregateSpec::Sum(2, "num_sum"),
+                                           AggregateSpec::Sum(3, "val_sum")};
+  // Filter values chosen so some conditions hit, some miss, one is NULL.
+  const std::vector<Conditions> filters = {
+      {{0, Value::String("alpha")}},
+      {{0, Value::String("absent")}},
+      {{0, Value::Null()}},
+      {{0, Value::String("g%mma")}, {1, Value::String("ICDE")}},
+      {{2, Value::Int64(7)}},
+  };
+  ExpectKernelsMatchReference(fx, filters, {{0}, {0, 1}, {1, 2}, {}}, aggs,
+                              "seed " + std::to_string(GetParam()));
+  // Sorting needs resident rows; string keys sort by dictionary rank.
+  for (const std::vector<SortKey>& keys : std::vector<std::vector<SortKey>>{
+           {{0, true}}, {{0, false}, {2, true}}, {{1, true}, {3, false}, {0, true}}}) {
+    EXPECT_EQ(Csv(SortTable(*fx.resident, keys)), Csv(reference::SortTable(*fx.resident, keys)))
+        << "seed " << GetParam();
+  }
+}
+
+TEST_P(RandomEquivalenceTest, VectorizedKernelsMatchLegacyOnRandomTables) {
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(MakeRandomTable(GetParam()), &fx));
   // Conditions cover code equality, the dictionary-miss proof, NULL on a
   // string and on a numeric column, multi-column conjunctions, int64
   // equality, and the scalar int64-vs-double shape.
-  const std::vector<std::vector<std::pair<int, Value>>> filters = {
+  const std::vector<Conditions> filters = {
       {},
       {{0, Value::String("alpha")}},
       {{0, Value::String("absent")}},
@@ -137,75 +183,52 @@ TEST_P(RandomEquivalenceTest, VectorizedKernelsMatchLegacyOnRandomTables) {
       {{2, Value::Double(7.0)}},
       {{1, Value::String("rio")}, {2, Value::Int64(3)}},
   };
-  const std::vector<std::vector<int>> group_sets = {{0}, {0, 1}, {1, 2}, {2}, {3}, {}};
+  ExpectKernelsMatchReference(fx, filters, {{0}, {0, 1}, {1, 2}, {2}, {3}, {}},
+                              AllAggregateShapes(), "seed " + std::to_string(GetParam()));
+}
 
-  std::vector<std::string> rendered[2];
-  std::vector<int64_t> counts[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    VectorizedModeGuard guard(mode == 0);
-    for (const auto& conditions : filters) {
-      auto filtered = FilterEquals(*table, conditions);
-      ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
-      rendered[mode].push_back(WriteCsvString(**filtered));
-      auto count = CountFilterMatches(*table, conditions);
-      ASSERT_TRUE(count.ok()) << count.status().ToString();
-      counts[mode].push_back(*count);
-      EXPECT_EQ(*count, (*filtered)->num_rows());
-      for (const std::vector<int>& group_cols : group_sets) {
-        // The fused kernel must match its own definition: the composed
-        // two-operator result computed in the same mode.
-        auto fused = FilterGroupAggregate(*table, conditions, group_cols, aggs);
-        ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-        auto composed = GroupByAggregate(**filtered, group_cols, aggs);
-        ASSERT_TRUE(composed.ok()) << composed.status().ToString();
-        EXPECT_EQ(WriteCsvString(**fused), WriteCsvString(**composed))
-            << "fused vs composed differ (seed " << GetParam() << ")";
-        rendered[mode].push_back(WriteCsvString(**fused));
-      }
-    }
-    for (const std::vector<int>& group_cols : group_sets) {
-      auto grouped = GroupByAggregate(*table, group_cols, aggs);
-      ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
-      rendered[mode].push_back(WriteCsvString(**grouped));
-    }
+/// Rebuilds `table` with every string column's dictionary loaded up front
+/// in reverse byte order, so codes run against both first appearance and
+/// string order. Same rows, same values; only the codes differ.
+TablePtr WithReversedDictionaries(const Table& table) {
+  auto out = std::make_shared<Table>(table.schema());
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const Column& col = table.column(c);
+    if (col.type() != DataType::kString) continue;
+    std::vector<std::string> entries;
+    for (int32_t code = 0; code < col.dict_size(); ++code) entries.push_back(col.DictString(code));
+    std::sort(entries.rbegin(), entries.rend());
+    EXPECT_TRUE(out->mutable_column(c).LoadDictionary(std::move(entries)).ok());
   }
-  ASSERT_EQ(rendered[0].size(), rendered[1].size());
-  for (size_t i = 0; i < rendered[0].size(); ++i) {
-    EXPECT_EQ(rendered[0][i], rendered[1][i])
-        << "vectorized vs legacy output " << i << " differs (seed " << GetParam() << ")";
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    EXPECT_TRUE(out->AppendRow(table.GetRow(r)).ok());
   }
-  EXPECT_EQ(counts[0], counts[1]);
+  return out;
 }
 
 TEST_P(RandomEquivalenceTest, VectorizedKernelsMatchWithDictionaryKernelsDisabled) {
-  // The two toggles are independent: vectorized kernels always run on codes,
-  // so flipping the dictionary switch must not change any vectorized output.
-  TablePtr table = MakeRandomTable(GetParam());
-  const std::vector<AggregateSpec> aggs = {AggregateSpec::CountStar("n"),
-                                           AggregateSpec::Sum(3, "val_sum")};
-  const std::vector<std::pair<int, Value>> conditions = {{0, Value::String("alpha")}};
-  std::vector<std::string> rendered[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    KernelModeGuard dict_guard(mode == 0);
-    VectorizedModeGuard vec_guard(true);
-    auto filtered = FilterEquals(*table, conditions);
-    ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
-    rendered[mode].push_back(WriteCsvString(**filtered));
-    for (const std::vector<int>& group_cols :
-         std::vector<std::vector<int>>{{0, 1}, {2}, {}}) {
-      auto fused = FilterGroupAggregate(*table, conditions, group_cols, aggs);
-      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-      rendered[mode].push_back(WriteCsvString(**fused));
-    }
-  }
-  ASSERT_EQ(rendered[0].size(), rendered[1].size());
-  for (size_t i = 0; i < rendered[0].size(); ++i) {
-    EXPECT_EQ(rendered[0][i], rendered[1][i])
-        << "dictionary toggle changed vectorized output " << i << " (seed " << GetParam()
-        << ")";
+  // The kernels work on dictionary codes; the reference never sees one. In
+  // ordinary tables codes follow first appearance, which is also the
+  // kernels' group order, so a kernel that leaked code order into its
+  // output would still look right. Reversed dictionaries pull the two
+  // apart: outputs must stay the reference's (resident table here; the
+  // heap-file twin re-interns in first-appearance order).
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(WithReversedDictionaries(*MakeRandomTable(GetParam())), &fx));
+  ASSERT_NE(fx.resident->column(0).FindCode("alpha"), 0);
+  const std::vector<Conditions> filters = {
+      {},
+      {{0, Value::String("alpha")}},
+      {{1, Value::String("rio")}, {2, Value::Int64(3)}},
+  };
+  ExpectKernelsMatchReference(fx, filters, {{0}, {0, 1}, {1, 2}, {}}, AllAggregateShapes(),
+                              "seed " + std::to_string(GetParam()));
+  for (const std::vector<SortKey>& keys : std::vector<std::vector<SortKey>>{
+           {{0, true}}, {{1, false}, {0, true}}}) {
+    EXPECT_EQ(Csv(SortTable(*fx.resident, keys)), Csv(reference::SortTable(*fx.resident, keys)))
+        << "seed " << GetParam();
   }
 }
-
 TEST_P(RandomEquivalenceTest, RoundTrippedPatternSetIsByteIdenticalToFreshMining) {
   TablePtr table = MakeRandomTable(GetParam());
   MiningConfig config;
@@ -249,19 +272,8 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, RandomEquivalenceTest,
                          });
 
 // ---------------------------------------------------------------------------
-// Paged-vs-in-memory byte identity (DESIGN.md §15).
+// Multi-page tables and out-of-core mining (DESIGN.md §15).
 // ---------------------------------------------------------------------------
-
-class PagedModeGuard {
- public:
-  explicit PagedModeGuard(bool enabled) : saved_(PagedStorageEnabled()) {
-    SetPagedStorageEnabled(enabled);
-  }
-  ~PagedModeGuard() { SetPagedStorageEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 /// Multi-page variant of MakeRandomTable: same column shapes, enough rows to
 /// span several 2048-row heap-file pages (so the paged fixtures cross page
@@ -293,44 +305,26 @@ TablePtr MakeLargeRandomTable(uint64_t seed) {
   return table;
 }
 
-/// A random table plus its heap-file twin opened as a non-resident paged
-/// table under a deliberately tight budget (~2 pages), with the temp file
-/// removed at scope exit.
-struct PagedFixture {
-  TablePtr resident;
-  TablePtr paged;
-  std::string path;
-
-  ~PagedFixture() {
-    paged.reset();
-    if (!path.empty()) std::remove(path.c_str());
-  }
-};
-
-PagedFixture MakePagedFixture(uint64_t seed) {
-  PagedFixture fx;
-  fx.resident = MakeLargeRandomTable(seed);
-  fx.path = ::testing::TempDir() + "cape_paged_equiv_" + std::to_string(seed) + ".cape";
-  EXPECT_TRUE(WriteTableToHeapFile(*fx.resident, fx.path, /*rows_per_page=*/2048).ok());
-  auto opened = OpenPagedTable(fx.path, /*budget_bytes=*/1 << 17);
-  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
-  fx.paged = *opened;
-  return fx;
+/// Loose thresholds so small random tables still yield patterns.
+MiningConfig OracleMiningConfig(int max_pattern_size) {
+  MiningConfig config;
+  config.max_pattern_size = max_pattern_size;
+  config.local_gof_threshold = 0.05;
+  config.local_support_threshold = 2;
+  config.global_confidence_threshold = 0.1;
+  config.global_support_threshold = 2;
+  config.agg_functions = {AggFunc::kCount, AggFunc::kSum};
+  return config;
 }
 
 class PagedRandomEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PagedRandomEquivalenceTest, PagedOperatorsMatchInMemoryUnderEveryToggle) {
-  PagedFixture fx = MakePagedFixture(GetParam());
-  const std::vector<AggregateSpec> aggs = {
-      AggregateSpec::CountStar("n"),
-      AggregateSpec{AggFunc::kCount, 3, "val_n"},
-      AggregateSpec::Sum(2, "num_sum"),
-      AggregateSpec::Avg(3, "val_avg"),
-      AggregateSpec::Min(3, "val_min"),
-      AggregateSpec::Max(0, "cat_max"),
-  };
-  const std::vector<std::vector<std::pair<int, Value>>> filters = {
+  // There are no kernel toggles left: each operator has one implementation,
+  // and the two chunk sources must both match the reference evaluator.
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(MakeLargeRandomTable(GetParam()), &fx));
+  const std::vector<Conditions> filters = {
       {},
       {{0, Value::String("alpha")}},
       {{0, Value::String("absent")}},
@@ -338,61 +332,14 @@ TEST_P(PagedRandomEquivalenceTest, PagedOperatorsMatchInMemoryUnderEveryToggle) 
       {{0, Value::String("g%mma")}, {1, Value::String("ICDE")}},
       {{2, Value::Int64(7)}},
   };
-  const std::vector<std::vector<int>> group_sets = {{0}, {0, 1}, {1, 2}, {3}, {}};
-
-  // The paged scan must agree with the in-memory arrays no matter how the
-  // dictionary / vectorized toggles are set for the in-memory side (the
-  // byte-identity contract is toggle-independent).
-  for (int dict = 0; dict < 2; ++dict) {
-    for (int vec = 0; vec < 2; ++vec) {
-      KernelModeGuard dict_guard(dict == 1);
-      VectorizedModeGuard vec_guard(vec == 1);
-      for (const auto& conditions : filters) {
-        auto mem_count = CountFilterMatches(*fx.resident, conditions);
-        auto paged_count = CountFilterMatches(*fx.paged, conditions);
-        ASSERT_TRUE(mem_count.ok() && paged_count.ok());
-        EXPECT_EQ(*mem_count, *paged_count) << "seed " << GetParam();
-
-        auto mem_filtered = FilterEquals(*fx.resident, conditions);
-        auto paged_filtered = FilterEquals(*fx.paged, conditions);
-        ASSERT_TRUE(mem_filtered.ok()) << mem_filtered.status().ToString();
-        ASSERT_TRUE(paged_filtered.ok()) << paged_filtered.status().ToString();
-        EXPECT_EQ(WriteCsvString(**mem_filtered), WriteCsvString(**paged_filtered))
-            << "seed " << GetParam() << " dict=" << dict << " vec=" << vec;
-
-        for (const std::vector<int>& group_cols : group_sets) {
-          auto mem = FilterGroupAggregate(*fx.resident, conditions, group_cols, aggs);
-          auto pg = FilterGroupAggregate(*fx.paged, conditions, group_cols, aggs);
-          ASSERT_TRUE(mem.ok()) << mem.status().ToString();
-          ASSERT_TRUE(pg.ok()) << pg.status().ToString();
-          EXPECT_EQ(WriteCsvString(**mem), WriteCsvString(**pg))
-              << "seed " << GetParam() << " dict=" << dict << " vec=" << vec;
-        }
-      }
-      for (const std::vector<int>& group_cols : group_sets) {
-        auto mem = GroupByAggregate(*fx.resident, group_cols, aggs);
-        auto pg = GroupByAggregate(*fx.paged, group_cols, aggs);
-        ASSERT_TRUE(mem.ok()) << mem.status().ToString();
-        ASSERT_TRUE(pg.ok()) << pg.status().ToString();
-        EXPECT_EQ(WriteCsvString(**mem), WriteCsvString(**pg)) << "seed " << GetParam();
-        auto mem_d = ProjectDistinct(*fx.resident, group_cols);
-        auto pg_d = ProjectDistinct(*fx.paged, group_cols);
-        ASSERT_TRUE(mem_d.ok() && pg_d.ok());
-        EXPECT_EQ(WriteCsvString(**mem_d), WriteCsvString(**pg_d)) << "seed " << GetParam();
-      }
-    }
-  }
+  ExpectKernelsMatchReference(fx, filters, {{0}, {0, 1}, {1, 2}, {3}, {}},
+                              AllAggregateShapes(), "seed " + std::to_string(GetParam()));
 }
 
 TEST_P(PagedRandomEquivalenceTest, PagedMiningMatchesInMemoryAcrossThreadCounts) {
-  PagedFixture fx = MakePagedFixture(GetParam());
-  MiningConfig config;
-  config.max_pattern_size = 2;
-  config.local_gof_threshold = 0.05;
-  config.local_support_threshold = 2;
-  config.global_confidence_threshold = 0.1;
-  config.global_support_threshold = 2;
-  config.agg_functions = {AggFunc::kCount, AggFunc::kSum};
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(MakeLargeRandomTable(GetParam()), &fx));
+  const MiningConfig config = OracleMiningConfig(2);
 
   auto mine = [&](TablePtr t, int threads) -> std::string {
     auto engine = Engine::FromTable(std::move(t));
@@ -417,38 +364,43 @@ TEST_P(PagedRandomEquivalenceTest, PagedMiningMatchesInMemoryAcrossThreadCounts)
 }
 
 TEST_P(PagedRandomEquivalenceTest, ResidentAttachTogglesBetweenIdenticalScans) {
-  // A/B shape: one resident table with its own heap file attached; the
-  // process toggle flips scans between in-memory arrays and the paged path
-  // over identical data, and every output byte matches.
-  TablePtr table = MakeLargeRandomTable(GetParam());
-  const std::string path =
-      ::testing::TempDir() + "cape_paged_attach_" + std::to_string(GetParam()) + ".cape";
-  ASSERT_TRUE(WriteTableToHeapFile(*table, path, /*rows_per_page=*/2048).ok());
-  ASSERT_TRUE(AttachHeapFile(*table, path, /*budget_bytes=*/1 << 17).ok());
-
+  // One logical table with two chunk sources: its resident Column slices
+  // and, attached through OpenPagedTable, its heap-file pages under a
+  // two-page budget. Every scan shape and an ARP-MINE run must give the
+  // same bytes from either source, at every thread count.
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(MakeLargeRandomTable(GetParam()), &fx));
+  ASSERT_TRUE(fx.resident->rows_resident());
+  ASSERT_FALSE(fx.paged->rows_resident());
   const std::vector<AggregateSpec> aggs = {AggregateSpec::CountStar("n"),
                                            AggregateSpec::Sum(3, "val_sum")};
-  const std::vector<std::pair<int, Value>> conditions = {{0, Value::String("alpha")}};
-  std::vector<std::string> rendered[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    PagedModeGuard guard(mode == 1);
-    ASSERT_EQ(table->UsesPagedScan(), mode == 1);
-    for (const std::vector<int>& group_cols :
-         std::vector<std::vector<int>>{{0}, {1, 2}, {}}) {
-      auto fused = FilterGroupAggregate(*table, conditions, group_cols, aggs);
-      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-      rendered[mode].push_back(WriteCsvString(**fused));
-    }
-    auto filtered = FilterEquals(*table, conditions);
-    ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
-    rendered[mode].push_back(WriteCsvString(**filtered));
+  const Conditions conditions = {{0, Value::String("alpha")}};
+  for (const std::vector<int>& group_cols : std::vector<std::vector<int>>{{0}, {1, 2}, {}}) {
+    EXPECT_EQ(Csv(FilterGroupAggregate(*fx.resident, conditions, group_cols, aggs)),
+              Csv(FilterGroupAggregate(*fx.paged, conditions, group_cols, aggs)))
+        << "seed " << GetParam();
   }
-  ASSERT_EQ(rendered[0].size(), rendered[1].size());
-  for (size_t i = 0; i < rendered[0].size(); ++i) {
-    EXPECT_EQ(rendered[0][i], rendered[1][i])
-        << "paged toggle changed output " << i << " (seed " << GetParam() << ")";
+  EXPECT_EQ(Csv(FilterEquals(*fx.resident, conditions)), Csv(FilterEquals(*fx.paged, conditions)));
+  const int64_t misses = fx.paged->page_source()->stats().misses;
+  EXPECT_GT(misses, 0);
+
+  const MiningConfig config = OracleMiningConfig(2);
+  auto mine = [&](TablePtr t, int threads) -> std::string {
+    auto engine = Engine::FromTable(std::move(t));
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    engine->mining_config() = config;
+    engine->set_num_threads(threads);
+    const Status st = engine->MinePatterns("ARP-MINE");
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return SerializePatternSet(engine->patterns(), engine->schema());
+  };
+  const std::string want = mine(fx.resident, 1);
+  EXPECT_FALSE(want.empty());
+  for (int threads : {1, 2, 4, 8}) {
+    EXPECT_EQ(mine(fx.resident, threads), want) << "resident, threads " << threads;
+    EXPECT_EQ(mine(fx.paged, threads), want) << "paged, threads " << threads;
   }
-  std::remove(path.c_str());
+  EXPECT_GT(fx.paged->page_source()->stats().misses, misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(FixedSeeds, PagedRandomEquivalenceTest,
@@ -463,23 +415,12 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, PagedRandomEquivalenceTest,
 // The oracle: a base prefix of a random table mined once, then grown through
 // Engine::AppendAndRemine under several append schedules, must serialize the
 // exact same pattern set — and produce the exact same top-k explanations —
-// as a cold mine of the full table, under every kernel-toggle combination,
-// across scratch-miner thread counts, and against a paged twin of the grown
+// as a cold mine of the full table, resident or from a paged twin, across
+// scratch-miner thread counts, and against a paged twin of the grown
 // table. maint_full_remines is pinned to zero so a silent fallback to
 // re-mining (which would also pass the byte comparison) cannot masquerade as
 // incremental maintenance.
 // ---------------------------------------------------------------------------
-
-MiningConfig OracleMiningConfig(int max_pattern_size) {
-  MiningConfig config;
-  config.max_pattern_size = max_pattern_size;
-  config.local_gof_threshold = 0.05;
-  config.local_support_threshold = 2;
-  config.global_confidence_threshold = 0.1;
-  config.global_support_threshold = 2;
-  config.agg_functions = {AggFunc::kCount, AggFunc::kSum};
-  return config;
-}
 
 /// Fold points for the append schedules: element 0 is the base size mined
 /// cold; each later element is the table size after one AppendAndRemine.
@@ -540,26 +481,32 @@ TEST_P(IncrementalVsScratchTest, AppendSchedulesMatchScratchUnderEveryToggle) {
   const int64_t n = pool->num_rows();
   const MiningConfig config = OracleMiningConfig(3);
 
-  for (int dict = 0; dict < 2; ++dict) {
-    for (int vec = 0; vec < 2; ++vec) {
-      KernelModeGuard dict_guard(dict == 1);
-      VectorizedModeGuard vec_guard(vec == 1);
-      auto scratch = MineScratch(pool, n, config, /*threads=*/1);
-      ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
-      const std::string want =
-          SerializePatternSet(scratch->patterns(), scratch->schema());
+  auto scratch = MineScratch(pool, n, config, /*threads=*/1);
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  const std::string want = SerializePatternSet(scratch->patterns(), scratch->schema());
 
-      for (const std::vector<int64_t>& schedule : AppendSchedules(n)) {
-        auto grown = GrowIncrementally(pool, schedule, config);
-        ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-        EXPECT_EQ(grown->run_stats().maint_full_remines, 0)
-            << "fell back to re-mining (seed " << GetParam() << ", base "
-            << schedule[0] << ")";
-        EXPECT_EQ(SerializePatternSet(grown->patterns(), grown->schema()), want)
-            << "seed " << GetParam() << " base " << schedule[0] << " steps "
-            << schedule.size() - 1 << " dict=" << dict << " vec=" << vec;
-      }
-    }
+  // The scratch answer does not depend on the chunk source: a cold mine of
+  // the non-resident twin lands on the same bytes at every thread count.
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(pool, &fx));
+  for (int threads : {1, 2, 4, 8}) {
+    auto twin = Engine::FromTable(fx.paged);
+    ASSERT_TRUE(twin.ok());
+    twin->mining_config() = config;
+    twin->set_num_threads(threads);
+    ASSERT_TRUE(twin->MinePatterns("ARP-MINE").ok());
+    EXPECT_EQ(SerializePatternSet(twin->patterns(), twin->schema()), want)
+        << "paged scratch (seed " << GetParam() << ", threads " << threads << ")";
+  }
+
+  for (const std::vector<int64_t>& schedule : AppendSchedules(n)) {
+    auto grown = GrowIncrementally(pool, schedule, config);
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    EXPECT_EQ(grown->run_stats().maint_full_remines, 0)
+        << "fell back to re-mining (seed " << GetParam() << ", base " << schedule[0] << ")";
+    EXPECT_EQ(SerializePatternSet(grown->patterns(), grown->schema()), want)
+        << "seed " << GetParam() << " base " << schedule[0] << " steps "
+        << schedule.size() - 1;
   }
 }
 
@@ -598,8 +545,7 @@ TEST_P(IncrementalVsScratchTest, MaintainedSetMatchesScratchMineOfPagedTwin) {
   // Spill the grown table to a heap file and scratch-mine the non-resident
   // twin: incremental maintenance on resident arrays must land on the same
   // bytes as a cold out-of-core mine of the same content.
-  const std::string path = ::testing::TempDir() + "cape_incr_paged_" +
-                           std::to_string(GetParam()) + ".cape";
+  const std::string path = TempPath("cape_incr_paged");
   ASSERT_TRUE(WriteTableToHeapFile(*grown->table(), path, /*rows_per_page=*/2048).ok());
   auto paged = OpenPagedTable(path, /*budget_bytes=*/1 << 17);
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
@@ -608,7 +554,7 @@ TEST_P(IncrementalVsScratchTest, MaintainedSetMatchesScratchMineOfPagedTwin) {
   twin->mining_config() = config;
   // ARP-MINE, not NAIVE: the maintained set mirrors the ARP evaluation
   // order bit-for-bit, and the two miners agree only up to the last ulp of
-  // the deviation statistics (their fold orders differ). The paged toggle
+  // the deviation statistics (their fold orders differ). The chunk source
   // is the subject here, so the twin runs the same algorithm out-of-core.
   ASSERT_TRUE(twin->MinePatterns("ARP-MINE").ok());
 
@@ -662,6 +608,127 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, IncrementalVsScratchTest,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Edge values (hand-built): the cells where typed kernels and boxed Value
+// semantics are easiest to pull apart.
+// ---------------------------------------------------------------------------
+
+/// NaN (two bit patterns), -0.0 next to 0.0, NULL in every column type, an
+/// int64 column holding 2^53 and 2^53 + 1 (equal once widened to double),
+/// and the empty string next to NULL strings.
+TablePtr MakeEdgeValueTable() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = int64_t{1} << 53;
+  auto table = MakeEmptyTable({Field{"s", DataType::kString, true},
+                               Field{"i", DataType::kInt64, true},
+                               Field{"d", DataType::kDouble, true}});
+  const std::vector<Row> rows = {
+      {Value::String("a"), Value::Int64(7), Value::Double(0.0)},
+      {Value::String(""), Value::Int64(big + 1), Value::Double(-0.0)},
+      {Value::Null(), Value::Int64(big), Value::Double(nan)},
+      {Value::String("b"), Value::Null(), Value::Double(1.5)},
+      {Value::String("a"), Value::Int64(-3), Value::Null()},
+      {Value::String(""), Value::Int64(7), Value::Double(-nan)},
+      {Value::Null(), Value::Int64(0), Value::Double(-0.0)},
+      {Value::String("b"), Value::Int64(big), Value::Double(nan)},
+      {Value::String("a"), Value::Null(), Value::Double(0.0)},
+      {Value::String("c"), Value::Int64(7), Value::Double(7.0)},
+  };
+  for (const Row& row : rows) EXPECT_TRUE(table->AppendRow(row).ok());
+  return table;
+}
+
+std::vector<Conditions> EdgeConditions() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t big = int64_t{1} << 53;
+  return {
+      {},
+      {{2, Value::Double(0.0)}},                // matches 0.0, -0.0 and NaN cells
+      {{2, Value::Double(-0.0)}},
+      {{2, Value::Double(nan)}},                // NaN compares equal to every number
+      {{2, Value::Null()}},
+      {{2, Value::Int64(7)}},                   // int64 value on a double column
+      {{1, Value::Int64(7)}},
+      {{1, Value::Double(7.0)}},                // the scalar int64-as-double shape
+      {{1, Value::Double(7.5)}},
+      {{1, Value::Int64(big + 1)}},             // exact int64 equality
+      {{1, Value::Double(static_cast<double>(big))}},  // 2^53 and 2^53 + 1 both match
+      {{1, Value::Null()}},
+      {{1, Value::String("7")}},                // string value on a numeric column
+      {{0, Value::String("")}},
+      {{0, Value::String("absent")}},
+      {{0, Value::Null()}},
+      {{0, Value::Int64(1)}},                   // numeric value on a string column
+      {{0, Value::String("a")}, {2, Value::Double(0.0)}},
+  };
+}
+
+std::vector<AggregateSpec> EdgeAggregates() {
+  return {
+      AggregateSpec::CountStar("n"),     AggregateSpec{AggFunc::kCount, 2, "d_n"},
+      AggregateSpec::Sum(2, "d_sum"),    AggregateSpec::Avg(1, "i_avg"),
+      AggregateSpec::Sum(1, "i_sum"),    AggregateSpec::Min(2, "d_min"),
+      AggregateSpec::Max(2, "d_max"),    AggregateSpec::Min(0, "s_min"),
+      AggregateSpec::Max(1, "i_max"),
+  };
+}
+
+TEST(EdgeValueTest, KernelsMatchReferenceOnBothChunkSources) {
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(MakeEdgeValueTable(), &fx));
+  // Group sets cover a double key (NaN bit patterns, -0.0 with 0.0), a wide
+  // int64 key (2^53 apart: generic encoder), a string key with "" and NULL,
+  // a mixed key, and the global aggregate.
+  ExpectKernelsMatchReference(fx, EdgeConditions(), {{2}, {1}, {0}, {0, 2}, {0, 1}, {}},
+                              EdgeAggregates(), "edge table");
+  for (const std::vector<SortKey>& keys : std::vector<std::vector<SortKey>>{
+           {{0, true}}, {{1, false}, {0, true}}}) {
+    EXPECT_EQ(Csv(SortTable(*fx.resident, keys)), Csv(reference::SortTable(*fx.resident, keys)));
+  }
+}
+
+TEST(EdgeValueTest, EmptyTableMatchesReferenceOnBothChunkSources) {
+  PagedFixture fx;
+  ASSERT_NO_FATAL_FAILURE(OpenTwin(MakeEmptyTable({Field{"s", DataType::kString, true},
+                                                   Field{"i", DataType::kInt64, true},
+                                                   Field{"d", DataType::kDouble, true}}),
+                                   &fx));
+  ExpectKernelsMatchReference(fx, EdgeConditions(), {{2}, {1}, {0}, {0, 1}, {}},
+                              EdgeAggregates(), "empty table");
+}
+
+TEST(EdgeValueTest, ResidentScanCrossesChunkBoundary) {
+  // A resident table just over one chunk: every kernel must carry groups,
+  // sums and selections across the chunk boundary as a paged scan does
+  // across pages.
+  const int64_t rows = kResidentChunkRows + 3000;
+  auto table = MakeEmptyTable({Field{"k", DataType::kInt64, true},
+                               Field{"s", DataType::kString, true},
+                               Field{"d", DataType::kDouble, true}});
+  table->Reserve(rows);
+  const std::vector<std::string> pool = {"x", "y", "z"};
+  for (int64_t r = 0; r < rows; ++r) {
+    Row row;
+    row.push_back(r % 11 == 0 ? Value::Null() : Value::Int64(r % 7));
+    row.push_back(Value::String(pool[static_cast<size_t>((r / 5) % 3)]));
+    row.push_back(Value::Double(static_cast<double>(r % 13) * 0.25));
+    ASSERT_TRUE(table->AppendRow(row).ok());
+  }
+  const std::vector<AggregateSpec> aggs = {AggregateSpec::CountStar("n"),
+                                           AggregateSpec::Sum(2, "d_sum"),
+                                           AggregateSpec::Max(0, "k_max")};
+  const Conditions conditions = {{1, Value::String("y")}};
+  EXPECT_EQ(*CountFilterMatches(*table, conditions), reference::CountMatches(*table, conditions));
+  EXPECT_EQ(Csv(FilterEquals(*table, conditions)),
+            Csv(reference::FilterEquals(*table, conditions)));
+  for (const std::vector<int>& group_cols : std::vector<std::vector<int>>{{0}, {1, 0}, {}}) {
+    EXPECT_EQ(Csv(FilterGroupAggregate(*table, conditions, group_cols, aggs)),
+              Csv(reference::FilterGroupAggregate(*table, conditions, group_cols, aggs)));
+    EXPECT_EQ(Csv(GroupByAggregate(*table, group_cols, aggs)),
+              Csv(reference::GroupByAggregate(*table, group_cols, aggs)));
+  }
+}
 
 }  // namespace
 }  // namespace cape

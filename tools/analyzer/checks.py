@@ -1,4 +1,4 @@
-"""The four invariant checks of the CAPE analyzer (DESIGN.md §17).
+"""The three invariant checks of the CAPE analyzer (DESIGN.md §17).
 
 Each check walks the structural AST (cxxast.py) of every analyzed file plus
 a whole-program call graph keyed by function base name, and yields Finding
@@ -14,12 +14,6 @@ objects. Check names are the suppression keys for
                       acyclic, and no lock may be held across file IO,
                       CondVar::Wait on a foreign mutex, or a blocking
                       thread-pool call (ParallelFor waits for its workers).
-  toggle-dispatch     every kernel dispatcher must consult
-                      Table::UsesPagedScan() (or return NotImplemented)
-                      before choosing a resident-row path, and must consult
-                      it before the vectorized-kernel toggle — a miss sends
-                      non-resident tables down code that reads rows_
-                      directly.
   unordered-iteration iteration over std::unordered_{map,set} must not feed
                       an order-sensitive sink (container append, string/
                       stream build-up, float accumulation): hash-bucket
@@ -72,10 +66,6 @@ POOL_WAIT_NAMES = {"ParallelFor"}
 
 CONDVAR_WAIT_NAMES = {"Wait", "WaitFor"}
 
-TOGGLE_PAGED = re.compile(r"\bUsesPagedScan\b|\bPagedStorageEnabled\b")
-TOGGLE_VEC = re.compile(r"\bVectorizedKernelsEnabled\b")
-TOGGLE_DICT = re.compile(r"\bDictionaryKernelsEnabled\b")
-NOT_IMPLEMENTED = re.compile(r"\bNotImplemented\b")
 
 
 class Program:
@@ -344,80 +334,7 @@ def check_lock_graph(program, all_files, report_global):
 
 
 # ----------------------------------------------------------------------------
-# Check 3: toggle-dispatch completeness
-
-# Operator entry points that every caller routes table scans through. Each
-# must be paged-aware: consult UsesPagedScan()/PagedStorageEnabled() or
-# return NotImplemented for non-resident tables — directly or through
-# another dispatcher it unconditionally delegates to.
-DISPATCH_SEEDS = {
-    "FilterEquals", "GroupByAggregate", "FilterGroupAggregate",
-    "CountFilterMatches", "Filter", "Project", "ProjectDistinct",
-    "SortTable", "Cube",
-}
-DISPATCH_DIRS = ("src/relational/",)
-
-
-def check_dispatch(program, all_files, report_global):
-    dispatchers = []
-    for fa in all_files:
-        if not any(fa.rel.startswith(d) for d in DISPATCH_DIRS):
-            continue
-        for fn in fa.functions:
-            body = fa.stripped[fn.body_start:fn.body_end]
-            consults_vec = bool(TOGGLE_VEC.search(body))
-            if fn.base_name in DISPATCH_SEEDS or consults_vec:
-                dispatchers.append((fa, fn, body, consults_vec))
-
-    aware = {}  # base name -> bool (merged over overloads)
-    bodies = {}
-    for fa, fn, body, _ in dispatchers:
-        direct = bool(TOGGLE_PAGED.search(body) or NOT_IMPLEMENTED.search(body))
-        aware[fn.base_name] = aware.get(fn.base_name, False) or direct
-        bodies.setdefault(fn.base_name, []).append((fa, fn, body))
-
-    # One delegation hop: a dispatcher that routes every scan into another
-    # dispatcher inherits its paged handling (e.g. the name-based
-    # GroupByAggregate overload delegating to the index-based one).
-    changed = True
-    while changed:
-        changed = False
-        for name, entries in bodies.items():
-            if aware.get(name):
-                continue
-            for fa, fn, body in entries:
-                if any(aware.get(c.name) for c in fn.calls
-                       if c.name in aware and c.name != name):
-                    aware[name] = True
-                    changed = True
-
-    for fa, fn, body, consults_vec in dispatchers:
-        if not aware.get(fn.base_name):
-            report_global(fa, fa.line_at(fn.header_start), "toggle-dispatch",
-                          f"dispatcher {fn.name}() handles the vectorized/"
-                          "dictionary toggles but never consults "
-                          "UsesPagedScan() or returns NotImplemented — "
-                          "non-resident tables would take a resident-row "
-                          "path")
-            continue
-        if consults_vec:
-            paged_m = TOGGLE_PAGED.search(body)
-            vec_m = TOGGLE_VEC.search(body)
-            ni_m = NOT_IMPLEMENTED.search(body)
-            if paged_m is None and ni_m is None:
-                continue  # delegated paged handling: ordering checked there
-            guard = min(m.start() for m in (paged_m, ni_m) if m is not None)
-            if vec_m is not None and vec_m.start() < guard:
-                report_global(fa, fa.line_at(fn.body_start + vec_m.start()),
-                              "toggle-dispatch",
-                              f"{fn.name}() consults VectorizedKernelsEnabled() "
-                              "before the paged-table guard — a paged table "
-                              "would be routed by the vectorized toggle "
-                              "instead of its residency")
-
-
-# ----------------------------------------------------------------------------
-# Check 4: determinism hazards — unordered iteration feeding ordered output
+# Check 3: determinism hazards — unordered iteration feeding ordered output
 
 ORDER_SINK_RE = re.compile(
     r"\bpush_back\b|\bemplace_back\b|\bpush_front\b|\bAppendRow\b|"
@@ -478,8 +395,7 @@ def _has_order_hazard(fa, fn, loop, body):
     return False
 
 
-ALL_CHECKS = ("cancellation", "lock-order", "toggle-dispatch",
-              "unordered-iteration")
+ALL_CHECKS = ("cancellation", "lock-order", "unordered-iteration")
 
 
 def run_checks(file_asts, enabled=None):
@@ -513,8 +429,6 @@ def run_checks(file_asts, enabled=None):
                             report)
     if "lock-order" in enabled:
         check_lock_graph(program, file_asts, report)
-    if "toggle-dispatch" in enabled:
-        check_dispatch(program, file_asts, report)
 
     findings.sort(key=Finding.sort_key)
     return findings

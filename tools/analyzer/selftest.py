@@ -6,8 +6,8 @@ seeding one violation, one clean twin of the same shape, or one suppression
 match the expectation list exactly. Every check has at least one seeded
 violation (including a lock-order *cycle* and an uncancellable data-bounded
 loop), one clean fixture proving the check does not overfire on the
-sanctioned idiom (strided stop check, collect-then-sort, paged-first
-dispatch, closure-deferred IO), and the suppression syntax is exercised in
+sanctioned idiom (strided stop check, collect-then-sort, closure-deferred
+IO), and the suppression syntax is exercised in
 both its same-line and next-line forms.
 
 Expectations name a unique line *substring* instead of a line number, so
@@ -22,7 +22,7 @@ from analyzer import checks, cxxast  # noqa: E402
 
 # ----------------------------------------------------------------------------
 # Fixtures. Paths choose which checks apply (cancellation only fires under
-# its request-path directories, dispatch only under src/relational/).
+# its request-path directories).
 
 FIXTURES = {
     # -- cancellation ------------------------------------------------------
@@ -138,32 +138,6 @@ class Pinned {
   Mutex mu_;
 };
 """,
-    # -- toggle-dispatch ---------------------------------------------------
-    "src/relational/st_dispatch.cc": """\
-Result<TablePtr> FilterScan(const Table& t) {  // seeded: no paged handling
-  if (VectorizedKernelsEnabled()) {
-    return VecPath(t);
-  }
-  return LegacyPath(t);
-}
-
-Result<TablePtr> GroupScan(const Table& t) {
-  if (VectorizedKernelsEnabled()) return VecGroup(t);  // seeded: vec first
-  if (t.UsesPagedScan()) return PagedGroup(t);
-  return LegacyGroup(t);
-}
-
-Result<TablePtr> SortScan(const Table& t) {
-  if (t.UsesPagedScan()) return Status::NotImplemented("paged sort");
-  if (VectorizedKernelsEnabled()) return VecSort(t);
-  return LegacySort(t);
-}
-
-Result<TablePtr> ProjectScan(const Table& t) {
-  if (VectorizedKernelsEnabled()) return SortScan(t);
-  return SortScan(t);
-}
-""",
     # -- unordered-iteration ----------------------------------------------
     "src/explain/st_unordered.cc": """\
 void EmitCounts(std::vector<std::string>* out) {
@@ -231,9 +205,6 @@ EXPECTED = [
     ("src/core/st_lock_block.cc", "// seeded: pool wait", "lock-order"),
     ("src/core/st_lock_block.cc", "// seeded: foreign-mutex wait", "lock-order"),
     ("src/core/st_lock_block.cc", "// seeded: IO while mu_ held", "lock-order"),
-    ("src/relational/st_dispatch.cc", "// seeded: no paged handling",
-     "toggle-dispatch"),
-    ("src/relational/st_dispatch.cc", "// seeded: vec first", "toggle-dispatch"),
     ("src/explain/st_unordered.cc", "// seeded: hash order reaches output",
      "unordered-iteration"),
     ("src/core/st_index.cc", "// seeded: member via header",
