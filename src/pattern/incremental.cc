@@ -20,10 +20,13 @@ namespace {
 
 using mining_internal::CandidateMap;
 using mining_internal::CandidateStats;
+using mining_internal::GroupPlan;
+using mining_internal::SplitCandidate;
+using mining_internal::SplitPlan;
 
 /// Appends an exact-byte encoding of base-table cell (row, col) such that
-/// two cells of the same column encode equal iff their Values compare equal
-/// (the equality SortTable's fragment boundaries use). Within a column all
+/// two cells of the same column encode equal iff RowOrder calls them equal
+/// (the equality the miners' fragment boundaries use). Within a column all
 /// non-null values share one type, so: int64 payloads are exact bytes,
 /// doubles canonicalize -0.0 to +0.0 (NaN is excluded upstream), and strings
 /// are length-prefixed content. A leading flag byte separates NULL from
@@ -64,38 +67,26 @@ void AppendCellKey(const Table& table, int64_t row, int col, std::string* key) {
   }
 }
 
-/// One (agg, model) candidate of a split, with its surviving local patterns
-/// keyed by the split's fragment byte-key.
-struct CandidateSlot {
-  size_t agg_idx = 0;  // into GroupSetState::agg_candidates
-  Pattern pattern;
-  std::map<std::string, LocalPattern> locals;
-};
-
-/// One (F, V) split of an attribute set G. `buckets` partitions the G-group
-/// ids by fragment key, each bucket stored in the split's cell order — V
-/// values ascending under Value ordering, group id (= discovery order) as
-/// the stable tie-break — which is exactly the fragment row order
-/// EvaluateSplit sees after SortTable.
+/// Maintained state of one (F, V) split of an attribute set G, parallel to
+/// its SplitPlan. `buckets` partitions the G-group ids by fragment key, each
+/// bucket stored in the split's cell order — V values ascending under
+/// RowOrder, group id (= discovery order) as the stable tie-break — which is
+/// exactly the fragment row order EvaluateSplit sees after SortTable.
 struct SplitState {
-  std::vector<int> f_base;  // base attr indices, ascending
-  std::vector<int> v_base;
-  AttrSet f_attrs;
-  AttrSet v_attrs;
-  bool v_all_numeric = false;
-  std::vector<bool> v_is_numeric;  // parallel to v_base
   std::unordered_map<std::string, std::vector<int64_t>> buckets;
   int64_t num_supported = 0;  // buckets at/above the local support threshold
-  std::vector<CandidateSlot> candidates;
+  /// Surviving local patterns of each plan candidate, by fragment key.
+  std::vector<std::map<std::string, LocalPattern>> locals;
+  /// Positions of the split's V attributes within Rep::v_cols.
+  std::vector<size_t> v_keys;
 };
 
 /// Everything maintained for one attribute set G: the incrementally folded
 /// group table plus every allowed split of G.
 struct GroupSetState {
-  std::vector<int> g_attrs;
-  std::vector<std::pair<AggFunc, int>> agg_candidates;
+  GroupPlan plan;
   std::unique_ptr<IncrementalGroupBy> groups;
-  std::vector<SplitState> splits;
+  std::vector<SplitState> splits;  // parallel to plan.splits
 };
 
 /// Result of re-validating one dirty fragment, staged until the commit
@@ -116,7 +107,7 @@ struct PatternMaintainer::Rep {
   MiningConfig config;
   uint64_t config_digest = 0;
   std::vector<int> nan_guard_cols;  // eligible double columns
-  std::vector<int> numeric_cols;    // for MaintenanceStats::column_stats
+  std::vector<int> v_cols;          // attributes a split may predict over, ascending
   std::vector<GroupSetState> group_sets;
   int64_t rows_folded = 0;
   MaintenanceStats stats;
@@ -132,7 +123,8 @@ struct PatternMaintainer::Rep {
     std::vector<uint8_t> valid;   // parallel non-NULL flags
   };
 
-  Status RefitFragment(const GroupSetState& gs, const SplitState& split,
+  Status RefitFragment(const GroupSetState& gs, const SplitPlan& plan,
+                       const SplitState& split, const RowOrder& v_order,
                        const std::vector<int64_t>& new_ids, const std::string& key,
                        std::vector<std::optional<LocalPattern>>* out,
                        std::vector<int64_t>* merged_out, MiningProfile* scratch_profile,
@@ -142,57 +134,29 @@ struct PatternMaintainer::Rep {
 
 /// Rebuilds one fragment's regression inputs exactly as EvaluateSplit would
 /// see them in the sorted aggregated table, and re-runs FitFragmentCandidate
-/// per candidate. Cells order by (V values under Value ordering, then group
-/// id): SortTable is stable and aggregated rows appear in group discovery
-/// order, so the id tie-break reproduces its row order byte-for-byte.
-/// Committed buckets already store that order, so only the staged-new
-/// groups sort and merge in; a fragment dirtied by existing groups alone
-/// reuses the stored order untouched. `merged_out` receives the full
-/// post-fold bucket when new ids exist (the commit barrier moves it into
-/// the bucket) and stays empty otherwise.
+/// per candidate. Cells order by (V values under `v_order`, a RowOrder over
+/// Rep::v_cols, then group id): SortTable is stable and aggregated rows
+/// appear in group discovery order, so the id tie-break reproduces its row
+/// order byte-for-byte. Committed buckets already store that order, so only
+/// the staged-new groups sort and merge in; a fragment dirtied by existing
+/// groups alone reuses the stored order untouched. `merged_out` receives the
+/// full post-fold bucket when new ids exist (the commit barrier moves it
+/// into the bucket) and stays empty otherwise.
 Status PatternMaintainer::Rep::RefitFragment(
-    const GroupSetState& gs, const SplitState& split, const std::vector<int64_t>& new_ids,
-    const std::string& key, std::vector<std::optional<LocalPattern>>* out,
-    std::vector<int64_t>* merged_out, MiningProfile* scratch_profile,
-    RefitScratch* scratch) const {
+    const GroupSetState& gs, const SplitPlan& plan, const SplitState& split,
+    const RowOrder& v_order, const std::vector<int64_t>& new_ids, const std::string& key,
+    std::vector<std::optional<LocalPattern>>* out, std::vector<int64_t>* merged_out,
+    MiningProfile* scratch_profile, RefitScratch* scratch) const {
   const Table& base = *table;
   const IncrementalGroupBy& groups = *gs.groups;
-  const size_t nv = split.v_base.size();
+  const size_t nv = plan.v_pos.size();
 
-  // Cell comparator reading base-table cells directly: within a column all
-  // non-null values share one type, so these typed compares agree exactly
-  // with Value::Compare (NaN is excluded by the Absorb guard).
-  auto cell_less = [&](int64_t ga, int64_t gb) {
+  auto before = [&](int64_t ga, int64_t gb) {
     const int64_t ra = groups.RepresentativeRow(ga);
     const int64_t rb = groups.RepresentativeRow(gb);
-    for (size_t v = 0; v < nv; ++v) {
-      const Column& c = base.column(split.v_base[v]);
-      const bool null_a = c.IsNull(ra);
-      const bool null_b = c.IsNull(rb);
-      if (null_a || null_b) {
-        if (null_a != null_b) return null_a;  // NULL < non-NULL
-        continue;                             // NULL == NULL
-      }
-      switch (c.type()) {
-        case DataType::kInt64: {
-          const int64_t a = c.GetInt64(ra);
-          const int64_t b = c.GetInt64(rb);
-          if (a != b) return a < b;
-          break;
-        }
-        case DataType::kDouble: {
-          const double a = c.GetDouble(ra);
-          const double b = c.GetDouble(rb);
-          if (a < b) return true;
-          if (b < a) return false;
-          break;
-        }
-        case DataType::kString: {
-          const int cmp = c.GetString(ra).compare(c.GetString(rb));
-          if (cmp != 0) return cmp < 0;
-          break;
-        }
-      }
+    for (size_t k : split.v_keys) {
+      const int cmp = v_order.CompareKey(k, ra, rb);
+      if (cmp != 0) return cmp < 0;
     }
     return ga < gb;
   };
@@ -202,13 +166,13 @@ Status PatternMaintainer::Rep::RefitFragment(
       bucket_it != split.buckets.end() ? &bucket_it->second : nullptr;
   if (!new_ids.empty()) {
     std::vector<int64_t> sorted_new = new_ids;
-    std::sort(sorted_new.begin(), sorted_new.end(), cell_less);
+    std::sort(sorted_new.begin(), sorted_new.end(), before);
     if (cells == nullptr) {
       *merged_out = std::move(sorted_new);
     } else {
       merged_out->reserve(cells->size() + sorted_new.size());
       std::merge(cells->begin(), cells->end(), sorted_new.begin(), sorted_new.end(),
-                 std::back_inserter(*merged_out), cell_less);
+                 std::back_inserter(*merged_out), before);
     }
     cells = merged_out;
   }
@@ -221,27 +185,29 @@ Status PatternMaintainer::Rep::RefitFragment(
   // fragment count on high-cardinality splits, so this skip carries most of
   // the incremental-vs-scratch speedup.
   if (static_cast<int64_t>(cells->size()) < config.local_support_threshold) {
-    out->assign(split.candidates.size(), std::nullopt);
+    out->assign(plan.candidates.size(), std::nullopt);
     return Status::OK();
   }
 
   // The fragment row reads the first sorted cell's representative base row —
   // the same cell EvaluateSplit's `data.GetValue(begin, c)` resolves to.
   Row fragment;
-  fragment.reserve(split.f_base.size());
+  fragment.reserve(plan.f_pos.size());
   const int64_t first_rep = groups.RepresentativeRow(cells->front());
-  for (int fc : split.f_base) fragment.push_back(base.GetValue(first_rep, fc));
+  for (int p : plan.f_pos) {
+    fragment.push_back(base.GetValue(first_rep, gs.plan.g_attrs[static_cast<size_t>(p)]));
+  }
 
   // Constant models never read their predictor row (Predict ignores it), so
   // the X matrix is only materialized when a non-const candidate will
   // consume it; const-only splits carry empty placeholder rows instead.
   bool need_x = false;
-  // analyzer:allow-next-line(cancellation) slots are schema-bounded (agg x model)
-  for (const CandidateSlot& slot : split.candidates) {
-    if (slot.pattern.model != ModelType::kConst) need_x = true;
+  // analyzer:allow-next-line(cancellation) candidates are schema-bounded (agg x model)
+  for (const SplitCandidate& candidate : plan.candidates) {
+    if (candidate.pattern.model != ModelType::kConst) need_x = true;
   }
 
-  const size_t naggs = gs.agg_candidates.size();
+  const size_t naggs = gs.plan.agg_cols.size();
   std::vector<std::vector<double>> ys(naggs);
   std::vector<std::vector<std::vector<double>>> x_per_agg(naggs);
   for (size_t a = 0; a < naggs; ++a) {
@@ -261,9 +227,8 @@ Status PatternMaintainer::Rep::RefitFragment(
       if (need_x) {
         const int64_t rep_row = groups.RepresentativeRow((*cells)[i]);
         for (size_t v = 0; v < nv; ++v) {
-          x[v] = split.v_is_numeric[v]
-                     ? base.column(split.v_base[v]).GetNumeric(rep_row)
-                     : 0.0;
+          const int attr = gs.plan.g_attrs[static_cast<size_t>(plan.v_pos[v])];
+          x[v] = plan.v_is_numeric[v] ? base.column(attr).GetNumeric(rep_row) : 0.0;
         }
       }
       ys[a].push_back(scratch->y[i]);
@@ -272,16 +237,16 @@ Status PatternMaintainer::Rep::RefitFragment(
   }
 
   const int64_t support = static_cast<int64_t>(cells->size());
-  out->reserve(split.candidates.size());
-  // analyzer:allow-next-line(cancellation) slots are schema-bounded (agg x model)
-  for (const CandidateSlot& slot : split.candidates) {
+  out->reserve(plan.candidates.size());
+  // analyzer:allow-next-line(cancellation) candidates are schema-bounded (agg x model)
+  for (const SplitCandidate& candidate : plan.candidates) {
     CandidateMap& fits = scratch->fits;
-    fits.clear();  // keeps its bucket array across slots and deltas
-    mining_internal::FitFragmentCandidate(fragment, x_per_agg[slot.agg_idx],
-                                          ys[slot.agg_idx], support, slot.pattern.model,
-                                          slot.pattern, config, scratch_profile, &fits);
+    fits.clear();  // keeps its bucket array across candidates and deltas
+    mining_internal::FitFragmentCandidate(fragment, x_per_agg[candidate.agg],
+                                          ys[candidate.agg], support, candidate.pattern,
+                                          config, scratch_profile, &fits);
     std::optional<LocalPattern> local;
-    auto it = fits.find(slot.pattern);
+    auto it = fits.find(candidate.pattern);
     if (it != fits.end() && !it->second.locals.empty()) {
       local.emplace(std::move(it->second.locals.front()));
     }
@@ -301,19 +266,23 @@ Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
 
   MiningProfile scratch_profile;  // FitFragmentCandidate's timers; discarded
   RefitScratch refit_scratch;     // reused across every re-fit this delta
+  // Dictionaries grow with appends, so string V columns are ranked once per
+  // delta here rather than once per fragment.
+  std::vector<SortKey> v_keys;
+  for (int c : v_cols) v_keys.push_back(SortKey{c, true});
+  const RowOrder v_order(*table, v_keys);
   // Cell-key segments of the touched groups' representative rows, rebuilt
   // per group-set: every split's fragment key concatenates a subset of the
   // group-set's cell keys, so the base-table cells are encoded once per
   // touched group instead of once per (group, split) pair.
   std::string seg_pool;
   std::vector<size_t> seg_off;  // (ncols + 1) boundaries per touched id
-  std::vector<size_t> f_pos;    // split's f_base positions within g_attrs
   std::unordered_map<std::string, std::vector<int64_t>> dirty;  // reused per split
   for (GroupSetState& gs : group_sets) {
     const int64_t committed = gs.groups->num_groups();
     const std::vector<int64_t>& touched = gs.groups->staged_touched();
     if (touched.empty()) continue;
-    const size_t ncols = gs.g_attrs.size();
+    const size_t ncols = gs.plan.g_attrs.size();
     seg_pool.clear();
     seg_off.clear();
     seg_off.reserve(touched.size() * (ncols + 1));
@@ -321,16 +290,13 @@ Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
       const int64_t rep_row = gs.groups->RepresentativeRow(id);
       for (size_t c = 0; c < ncols; ++c) {
         seg_off.push_back(seg_pool.size());
-        AppendCellKey(*table, rep_row, gs.g_attrs[c], &seg_pool);
+        AppendCellKey(*table, rep_row, gs.plan.g_attrs[c], &seg_pool);
       }
       seg_off.push_back(seg_pool.size());
     }
-    for (SplitState& split : gs.splits) {
-      f_pos.clear();
-      for (int fc : split.f_base) {
-        f_pos.push_back(static_cast<size_t>(
-            std::find(gs.g_attrs.begin(), gs.g_attrs.end(), fc) - gs.g_attrs.begin()));
-      }
+    for (size_t s = 0; s < gs.splits.size(); ++s) {
+      const SplitPlan& plan = gs.plan.splits[s];
+      SplitState& split = gs.splits[s];
       // Touched groups, partitioned by this split's fragment key. New ids
       // arrive in first-touch order (ascending), committed dirty groups mark
       // their fragment with an (empty) entry. Map order is irrelevant: every
@@ -341,9 +307,9 @@ Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
       for (size_t i = 0; i < touched.size(); ++i) {
         key.clear();
         const size_t base = i * (ncols + 1);
-        for (size_t p : f_pos) {
-          key.append(seg_pool.data() + seg_off[base + p],
-                     seg_off[base + p + 1] - seg_off[base + p]);
+        for (int p : plan.f_pos) {
+          const size_t at = base + static_cast<size_t>(p);
+          key.append(seg_pool.data() + seg_off[at], seg_off[at + 1] - seg_off[at]);
         }
         auto [it, inserted] = dirty.try_emplace(key);
         (void)inserted;
@@ -356,8 +322,8 @@ Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
         delta.split = &split;
         delta.key = fkey;
         delta.new_ids = std::move(new_ids);
-        CAPE_RETURN_IF_ERROR(RefitFragment(gs, split, delta.new_ids, delta.key,
-                                           &delta.locals, &delta.merged,
+        CAPE_RETURN_IF_ERROR(RefitFragment(gs, plan, split, v_order, delta.new_ids,
+                                           delta.key, &delta.locals, &delta.merged,
                                            &scratch_profile, &refit_scratch));
         pending->push_back(std::move(delta));
       }
@@ -401,66 +367,28 @@ Result<std::unique_ptr<PatternMaintainer>> PatternMaintainer::Build(
   const Schema& schema = *table->schema();
   const AttrSet allowed = mining_internal::AllowedAttrs(schema, config);
   for (int a : allowed.ToIndices()) {
-    if (schema.field(a).type == DataType::kDouble) rep->nan_guard_cols.push_back(a);
+    const DataType type = schema.field(a).type;
+    if (type == DataType::kDouble) rep->nan_guard_cols.push_back(a);
+    if (IsNumericType(type) || !config.require_numeric_predictors) rep->v_cols.push_back(a);
   }
-  for (int c = 0; c < schema.num_fields(); ++c) {
-    if (IsNumericType(schema.field(c).type)) rep->numeric_cols.push_back(c);
-  }
-  rep->stats.column_stats.resize(static_cast<size_t>(schema.num_fields()));
 
   CAPE_ASSIGN_OR_RETURN(const std::vector<AttrSet> group_sets,
                         mining_internal::EnumerateGroupSets(schema, config));
   for (AttrSet g : group_sets) {
     GroupSetState gs;
-    gs.agg_candidates = mining_internal::EnumerateAggCandidates(*table, g, config);
-    if (gs.agg_candidates.empty()) continue;
-    gs.g_attrs = g.ToIndices();
-    const int num_g = static_cast<int>(gs.g_attrs.size());
-
-    std::vector<AggregateSpec> specs;
-    specs.reserve(gs.agg_candidates.size());
-    for (size_t i = 0; i < gs.agg_candidates.size(); ++i) {
-      AggregateSpec spec;
-      spec.func = gs.agg_candidates[i].first;
-      spec.input_col = gs.agg_candidates[i].second;
-      spec.output_name = "agg" + std::to_string(i);
-      specs.push_back(std::move(spec));
-    }
+    gs.plan = mining_internal::PlanGroup(*table, g, config);
+    if (gs.plan.agg_cols.empty()) continue;
     CAPE_ASSIGN_OR_RETURN(gs.groups,
-                          IncrementalGroupBy::Make(table, gs.g_attrs, std::move(specs)));
-
-    for (uint32_t mask = 1; mask + 1 < (1u << num_g); ++mask) {
-      SplitState split;
-      for (int i = 0; i < num_g; ++i) {
-        const int attr = gs.g_attrs[static_cast<size_t>(i)];
-        if (mask & (1u << i)) {
-          split.f_attrs.Add(attr);
-          split.f_base.push_back(attr);
-        } else {
-          split.v_attrs.Add(attr);
-          split.v_base.push_back(attr);
-        }
+                          IncrementalGroupBy::Make(table, gs.plan.g_attrs, gs.plan.specs));
+    gs.splits.resize(gs.plan.splits.size());
+    for (size_t s = 0; s < gs.splits.size(); ++s) {
+      gs.splits[s].locals.resize(gs.plan.splits[s].candidates.size());
+      for (int p : gs.plan.splits[s].v_pos) {
+        const int attr = gs.plan.g_attrs[static_cast<size_t>(p)];
+        gs.splits[s].v_keys.push_back(static_cast<size_t>(
+            std::lower_bound(rep->v_cols.begin(), rep->v_cols.end(), attr) -
+            rep->v_cols.begin()));
       }
-      if (!mining_internal::SplitAllowed(*table, split.v_attrs, config)) continue;
-      split.v_all_numeric = mining_internal::AllNumeric(*table, split.v_attrs);
-      split.v_is_numeric.reserve(split.v_base.size());
-      for (int vc : split.v_base) {
-        split.v_is_numeric.push_back(IsNumericType(schema.field(vc).type));
-      }
-      for (size_t a = 0; a < gs.agg_candidates.size(); ++a) {
-        for (ModelType model : config.model_types) {
-          if (model == ModelType::kLinear && !split.v_all_numeric) continue;
-          CandidateSlot slot;
-          slot.agg_idx = a;
-          slot.pattern.partition_attrs = split.f_attrs;
-          slot.pattern.predictor_attrs = split.v_attrs;
-          slot.pattern.agg = gs.agg_candidates[a].first;
-          slot.pattern.agg_attr = gs.agg_candidates[a].second;
-          slot.pattern.model = model;
-          split.candidates.push_back(std::move(slot));
-        }
-      }
-      gs.splits.push_back(std::move(split));
     }
     rep->group_sets.push_back(std::move(gs));
   }
@@ -481,8 +409,8 @@ Status PatternMaintainer::Absorb(StopToken* stop) {
   if (end_row == rep.rows_folded) return Status::OK();
 
   // NaN in an eligible double attribute breaks byte-stable fragment identity
-  // (NaN compares equal to every number under Value ordering); hand the
-  // whole table back to the from-scratch path.
+  // (cell keys separate NaN bit patterns that RowOrder treats as one value);
+  // hand the whole table back to the from-scratch path.
   for (int col : rep.nan_guard_cols) {
     const Column& c = rep.table->column(col);
     for (int64_t row = rep.rows_folded; row < end_row; ++row) {
@@ -543,9 +471,9 @@ Status PatternMaintainer::Absorb(StopToken* stop) {
       bucket = std::move(delta.merged);
     }
     rep.stats.fragments_refit += 1;
-    for (size_t c = 0; c < delta.split->candidates.size(); ++c) {
+    for (size_t c = 0; c < delta.split->locals.size(); ++c) {
       rep.stats.candidates_revalidated += 1;
-      std::map<std::string, LocalPattern>& locals = delta.split->candidates[c].locals;
+      std::map<std::string, LocalPattern>& locals = delta.split->locals[c];
       if (delta.locals[c].has_value()) {
         auto [it, inserted] =
             locals.insert_or_assign(delta.key, std::move(*delta.locals[c]));
@@ -561,19 +489,6 @@ Status PatternMaintainer::Absorb(StopToken* stop) {
     }
   }
 
-  // Column moments: per-batch Welford accumulators folded into the lifetime
-  // ones via Merge (order-independent up to rounding; descriptive.h).
-  for (int col : rep.numeric_cols) {
-    const Column& c = rep.table->column(col);
-    RunningStats batch;
-    // Past the commit barrier: a stop return here would leave buckets folded
-    // but rows_folded stale, double-folding the batch on retry.
-    // analyzer:allow-next-line(cancellation) all-or-nothing contract wins
-    for (int64_t row = rep.rows_folded; row < end_row; ++row) {
-      if (!c.IsNull(row)) batch.Add(c.GetNumeric(row));
-    }
-    rep.stats.column_stats[static_cast<size_t>(col)].Merge(batch);
-  }
   rep.stats.batches_absorbed += 1;
   rep.stats.rows_absorbed += end_row - rep.rows_folded;
   rep.rows_folded = end_row;
@@ -584,18 +499,18 @@ PatternSet PatternMaintainer::Finalize() const {
   const Rep& rep = *rep_;
   CandidateMap candidates;
   for (const GroupSetState& gs : rep.group_sets) {
-    for (const SplitState& split : gs.splits) {
+    for (size_t s = 0; s < gs.splits.size(); ++s) {
+      const SplitState& split = gs.splits[s];
       if (split.buckets.empty()) continue;
-      const int64_t num_fragments = static_cast<int64_t>(split.buckets.size());
-      const int64_t num_supported = split.num_supported;
-      // analyzer:allow-next-line(cancellation) slots are schema-bounded (agg x model)
-      for (const CandidateSlot& slot : split.candidates) {
+      const std::vector<SplitCandidate>& plan_candidates = gs.plan.splits[s].candidates;
+      // analyzer:allow-next-line(cancellation) candidates are schema-bounded (agg x model)
+      for (size_t c = 0; c < plan_candidates.size(); ++c) {
         CandidateStats stats;
-        stats.pattern = slot.pattern;
-        stats.num_fragments = num_fragments;
-        stats.num_supported = num_supported;
-        stats.num_holding = static_cast<int64_t>(slot.locals.size());
-        for (const auto& [key, local] : slot.locals) {
+        stats.pattern = plan_candidates[c].pattern;
+        stats.num_fragments = static_cast<int64_t>(split.buckets.size());
+        stats.num_supported = split.num_supported;
+        stats.num_holding = static_cast<int64_t>(split.locals[c].size());
+        for (const auto& [key, local] : split.locals[c]) {
           if (local.max_positive_dev > stats.max_positive_dev) {
             stats.max_positive_dev = local.max_positive_dev;
           }
@@ -604,7 +519,7 @@ PatternSet PatternMaintainer::Finalize() const {
           }
           stats.locals.push_back(local);
         }
-        candidates.emplace(slot.pattern, std::move(stats));
+        candidates.emplace(plan_candidates[c].pattern, std::move(stats));
       }
     }
   }

@@ -9,7 +9,6 @@
 #include "pattern/mining.h"
 #include "pattern/pattern_set.h"
 #include "relational/table.h"
-#include "stats/descriptive.h"
 
 namespace cape {
 
@@ -40,12 +39,6 @@ struct MaintenanceStats {
   int64_t locals_added = 0;
   int64_t locals_dropped = 0;
   int64_t locals_replaced = 0;
-  /// Per base column, mergeable Welford moments of all non-null values folded
-  /// so far (numeric columns only; string slots stay empty). Each Absorb
-  /// accumulates the delta into a fresh batch accumulator and folds it in
-  /// with RunningStats::Merge — the mergeable-accumulator machinery
-  /// stats_incremental_test pins, exercised on the production path.
-  std::vector<RunningStats> column_stats;
 };
 
 /// Incrementally maintained ARP mining state (DESIGN.md §16): holds, per
@@ -58,11 +51,12 @@ struct MaintenanceStats {
 /// running any of the from-scratch miners on the current table with the same
 /// config (random_equivalence_test proves this across seeds, append
 /// schedules, resident and paged scratch mines, and thread counts). The equivalence holds
-/// because every ingredient reuses the exact batch code path: group states
-/// extend the committed AggState fold sequentially (never merging partial
-/// sums), fragment cells sort by the same Value ordering SortTable uses, and
-/// re-validation calls mining_internal::FitFragmentCandidate on identically
-/// constructed vectors.
+/// because every ingredient reuses the exact batch code path: the candidate
+/// space is the miners' mining_internal::PlanGroup, group states extend the
+/// committed AggState fold sequentially (never merging partial sums),
+/// fragment cells sort by the RowOrder SortTable uses, and re-validation
+/// calls mining_internal::FitFragmentCandidate on identically constructed
+/// vectors.
 ///
 /// Absorb is transactional: on stop, error, or an injected
 /// "incremental.merge" fault, all staged work is discarded and the
@@ -74,8 +68,9 @@ struct MaintenanceStats {
 /// paged (non-resident) tables, use_fd_optimizations (FD skips change the
 /// candidate space), and approximate sampling (a sample is not maintainable
 /// row-by-row). Tables containing NaN in an eligible double attribute are
-/// rejected the same way — NaN compares equal to every number under Value
-/// ordering, so fragment identity would not be byte-stable.
+/// rejected the same way — fragment cell keys separate NaN bit patterns that
+/// RowOrder treats as one value, so fragment identity would not be
+/// byte-stable.
 ///
 /// Not thread-safe; the table must outlive the maintainer and must only grow
 /// via appends between calls.

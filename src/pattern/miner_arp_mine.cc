@@ -1,8 +1,6 @@
 #include <algorithm>
-#include <set>
 #include <utility>
 
-#include "common/failpoint.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -14,8 +12,9 @@ namespace cape {
 
 namespace {
 
-using mining_internal::AggColumnRef;
 using mining_internal::CandidateMap;
+using mining_internal::GroupPlan;
+using mining_internal::SplitPlan;
 
 /// ARP-MINE (Algorithm 2 + Algorithm 5): shares one aggregation query per
 /// attribute set G, reuses each sort order for every (F, V) split whose F is
@@ -95,7 +94,7 @@ class ArpMiner final : public PatternMiner {
             }
             return Status::OK();
           });
-      MergeProfiles(profs, &profile);
+      for (const MiningProfile& p : profs) profile.Add(p);
       if (!st.ok()) {
         if (!st.IsStop()) return st;
         result.truncated = true;
@@ -129,14 +128,13 @@ class ArpMiner final : public PatternMiner {
             for (int64_t i = begin; i < end; ++i) {
               const GroupData& gd = level[static_cast<size_t>(i)];
               if (gd.data == nullptr) continue;
-              const AttrSet g = group_sets[level_begin + static_cast<size_t>(i)];
               CAPE_RETURN_IF_ERROR(ExploreSortOrders(
-                  table, g, g.ToIndices(), *gd.data, gd.agg_cols, config, fds, &prof,
+                  gd.plan, *gd.data, config, fds, &prof,
                   &worker_candidates[static_cast<size_t>(worker)], stop));
             }
             return Status::OK();
           });
-      MergeProfiles(profs, &profile);
+      for (const MiningProfile& p : profs) profile.Add(p);
       // Post-phase merge: a stop here is honored at the next level boundary;
       // erroring out instead would drop the truncated-result contract the
       // stop-checked ParallelFor just upheld.
@@ -160,133 +158,71 @@ class ArpMiner final : public PatternMiner {
   }
 
  private:
-  /// The shared aggregated data of one attribute set G; `data` stays null
-  /// when G admits no aggregate candidates.
+  /// The plan and shared aggregated data of one attribute set G; `data`
+  /// stays null when G admits no aggregate candidates.
   struct GroupData {
+    GroupPlan plan;
     TablePtr data;
-    std::vector<AggColumnRef> agg_cols;
   };
 
-  static void MergeProfiles(const std::vector<MiningProfile>& parts, MiningProfile* out) {
-    for (const MiningProfile& p : parts) {
-      out->regression_ns += p.regression_ns;
-      out->query_ns += p.query_ns;
-      out->cpu_ns += p.cpu_ns;
-      out->num_candidates += p.num_candidates;
-      out->num_candidates_skipped_fd += p.num_candidates_skipped_fd;
-      out->num_local_fits += p.num_local_fits;
-      out->num_queries += p.num_queries;
-      out->num_sorts += p.num_sorts;
-      out->num_rows_scanned += p.num_rows_scanned;
-    }
-  }
-
-  /// Phase A for one G: enumerate agg(A) candidates and run the shared
-  /// group-by query.
+  /// Phase A for one G: plan its candidates and run the shared group-by
+  /// query.
   static Status RunGroupQuery(const Table& table, AttrSet g, const MiningConfig& config,
                               MiningProfile* profile, GroupData* out, StopToken* stop) {
-    const std::vector<int> g_attrs = g.ToIndices();
-    const int gs = static_cast<int>(g_attrs.size());
-    const auto agg_candidates = mining_internal::EnumerateAggCandidates(table, g, config);
-    if (agg_candidates.empty()) return Status::OK();
-    std::vector<AggregateSpec> specs;
-    for (size_t i = 0; i < agg_candidates.size(); ++i) {
-      const auto& [agg, agg_attr] = agg_candidates[i];
-      AggregateSpec spec;
-      spec.func = agg;
-      spec.input_col = agg_attr;
-      spec.output_name = "agg" + std::to_string(i);
-      specs.push_back(std::move(spec));
-      out->agg_cols.push_back(AggColumnRef{agg, agg_attr, gs + static_cast<int>(i)});
-    }
-    ScopedTimer timer(&profile->query_ns);
-    profile->num_queries += 1;
-    CAPE_FAILPOINT("mining.group");
-    CAPE_ASSIGN_OR_RETURN(out->data, GroupByAggregate(table, g_attrs, specs, stop));
+    out->plan = mining_internal::PlanGroup(table, g, config);
+    if (out->plan.agg_cols.empty()) return Status::OK();
+    CAPE_ASSIGN_OR_RETURN(out->data,
+                          mining_internal::GroupQuery(table, out->plan, profile, stop));
     return Status::OK();
   }
 
   /// Algorithm 5: iterate permutations S of G; for each S that can test at
   /// least one unexplored (F, V), sort once and evaluate every unexplored
   /// split whose F is a prefix of S. The explored set C is local to G —
-  /// its keys (F, V) satisfy F ∪ V = G, so no other attribute set can ever
+  /// its splits satisfy F ∪ V = G, so no other attribute set can ever
   /// collide with them.
-  static Status ExploreSortOrders(const Table& table, AttrSet g,
-                                  const std::vector<int>& g_attrs, const Table& data,
-                                  const std::vector<AggColumnRef>& agg_cols,
+  static Status ExploreSortOrders(const GroupPlan& plan, const Table& data,
                                   const MiningConfig& config, const FdSet& fds,
                                   MiningProfile* profile, CandidateMap* candidates,
                                   StopToken* stop) {
+    const std::vector<int>& g_attrs = plan.g_attrs;
     const int gs = static_cast<int>(g_attrs.size());
-    std::set<std::pair<uint64_t, uint64_t>> explored;
+    std::vector<bool> explored(plan.splits.size(), false);
     std::vector<int> perm = g_attrs;  // ascending = first permutation
-    std::sort(perm.begin(), perm.end());
     do {
-      // Which prefix lengths of this order would test something new?
-      // FD-redundant splits (Appendix D) are resolved here, *before* the
-      // sort decision, so a sort order whose only new splits are FD-skipped
-      // never triggers a sort query.
-      std::vector<int> new_prefix_lengths;
-      {
-        AttrSet f_attrs;
-        for (int len = 1; len < gs; ++len) {
-          f_attrs.Add(perm[static_cast<size_t>(len - 1)]);
-          AttrSet v_attrs = g.Difference(f_attrs);
-          if (!mining_internal::SplitAllowed(table, v_attrs, config)) continue;
-          if (explored.count({f_attrs.bits(), v_attrs.bits()}) > 0) continue;
-          if (config.use_fd_optimizations &&
-              (!fds.IsMinimal(f_attrs) || fds.ImpliesAll(f_attrs, v_attrs))) {
-            explored.insert({f_attrs.bits(), v_attrs.bits()});
-            const bool v_numeric = mining_internal::AllNumeric(table, v_attrs);
-            for (size_t a = 0; a < agg_cols.size(); ++a) {
-              (void)a;
-              for (ModelType model : config.model_types) {
-                if (model == ModelType::kLinear && !v_numeric) continue;
-                profile->num_candidates_skipped_fd += 1;
-              }
-            }
-            continue;
-          }
-          new_prefix_lengths.push_back(len);
+      // Which splits with F a prefix of this order would test something
+      // new? A split missing from the plan is not allowed. FD-redundant
+      // splits (Appendix D) are resolved here, *before* the sort decision,
+      // so a sort order whose only new splits are FD-skipped never triggers
+      // a sort query.
+      std::vector<const SplitPlan*> new_splits;
+      AttrSet f_attrs;
+      for (int len = 1; len < gs; ++len) {
+        f_attrs.Add(perm[static_cast<size_t>(len - 1)]);
+        const int s = plan.FindSplit(f_attrs);
+        if (s < 0 || explored[static_cast<size_t>(s)]) continue;
+        explored[static_cast<size_t>(s)] = true;
+        const SplitPlan& split = plan.splits[static_cast<size_t>(s)];
+        if (config.use_fd_optimizations &&
+            (!fds.IsMinimal(f_attrs) || fds.ImpliesAll(f_attrs, split.v_attrs))) {
+          profile->num_candidates_skipped_fd += static_cast<int64_t>(split.candidates.size());
+          continue;
         }
+        new_splits.push_back(&split);
       }
-      if (new_prefix_lengths.empty()) continue;
+      if (new_splits.empty()) continue;
 
-      TablePtr sorted;
-      {
-        ScopedTimer timer(&profile->query_ns);
-        profile->num_sorts += 1;
-        CAPE_FAILPOINT("mining.sort");
-        std::vector<SortKey> keys;
-        for (int attr : perm) {
-          // Column position of attr inside `data` = rank within g_attrs.
-          const int pos = static_cast<int>(
-              std::lower_bound(g_attrs.begin(), g_attrs.end(), attr) - g_attrs.begin());
-          keys.push_back(SortKey{pos, true});
-        }
-        CAPE_ASSIGN_OR_RETURN(sorted, SortTable(data, keys, stop));
+      // Column position of each attribute inside `data` = rank within g_attrs.
+      std::vector<int> sort_cols;
+      for (int attr : perm) {
+        sort_cols.push_back(static_cast<int>(
+            std::lower_bound(g_attrs.begin(), g_attrs.end(), attr) - g_attrs.begin()));
       }
-
-      for (int len : new_prefix_lengths) {
-        AttrSet f_attrs;
-        for (int i = 0; i < len; ++i) f_attrs.Add(perm[static_cast<size_t>(i)]);
-        AttrSet v_attrs = g.Difference(f_attrs);
-        explored.insert({f_attrs.bits(), v_attrs.bits()});
-
-        std::vector<int> f_cols;
-        std::vector<int> v_cols;
-        for (int i = 0; i < gs; ++i) {
-          if (f_attrs.Contains(g_attrs[static_cast<size_t>(i)])) {
-            f_cols.push_back(i);
-          } else {
-            v_cols.push_back(i);
-          }
-        }
-        const bool v_numeric = mining_internal::AllNumeric(table, v_attrs);
-        CAPE_RETURN_IF_ERROR(mining_internal::EvaluateSplit(*sorted, f_cols, v_cols,
-                                                            v_numeric, f_attrs, v_attrs,
-                                                            agg_cols, config, profile,
-                                                            candidates, stop));
+      CAPE_ASSIGN_OR_RETURN(const TablePtr sorted,
+                            mining_internal::SortQuery(data, sort_cols, profile, stop));
+      for (const SplitPlan* split : new_splits) {
+        CAPE_RETURN_IF_ERROR(mining_internal::EvaluateSplit(
+            *sorted, *split, plan.agg_cols, config, profile, candidates, stop));
       }
     } while (std::next_permutation(perm.begin(), perm.end()));
     return Status::OK();

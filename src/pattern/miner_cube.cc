@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
@@ -10,6 +12,8 @@ namespace {
 
 using mining_internal::AggColumnRef;
 using mining_internal::CandidateMap;
+using mining_internal::GroupPlan;
+using mining_internal::SplitPlan;
 
 /// CUBE miner (Section 4.1, "Using the CUBE BY operator"): a single CUBE
 /// query materializes the aggregated data for every admissible G_P; each
@@ -38,9 +42,9 @@ class CubeMiner final : public PatternMiner {
                           mining_internal::EnumerateGroupSets(*table.schema(), config));
 
     // One cube query computes every (agg, A) combination for every G_P with
-    // |G_P| <= psi. (sum(A) is materialized even for groupings containing A;
-    // those columns are simply never read.)
-    const auto shared = mining_internal::BuildSharedAggSpecs(table, allowed, config);
+    // |G_P| <= psi: the aggregates of G = ∅. (sum(A) is materialized even
+    // for groupings containing A; those columns are simply never read.)
+    const GroupPlan shared = mining_internal::PlanGroup(table, AttrSet(), config);
     if (shared.specs.empty()) {
       result.patterns = PatternSet();
       profile.total_ns = total.ElapsedNanos();
@@ -74,9 +78,6 @@ class CubeMiner final : public PatternMiner {
 
     for (AttrSet g : group_sets) {
       if (result.truncated) break;
-      const std::vector<int> g_attrs = g.ToIndices();
-      const int gs = static_cast<int>(g_attrs.size());
-
       // grouping_id of the grouping that keeps exactly the attributes in G.
       int64_t wanted_gid = 0;
       for (int i = 0; i < n; ++i) {
@@ -102,33 +103,27 @@ class CubeMiner final : public PatternMiner {
         data = std::move(filtered).ValueOrDie();
       }
 
-      // Aggregate columns usable for this G: A outside G.
-      std::vector<AggColumnRef> agg_cols;
-      for (size_t s = 0; s < shared.meaning.size(); ++s) {
-        const auto& [agg, agg_attr] = shared.meaning[s];
-        if (agg_attr != Pattern::kCountStar && g.Contains(agg_attr)) continue;
-        agg_cols.push_back(AggColumnRef{agg, agg_attr, n + static_cast<int>(s)});
-      }
-      if (agg_cols.empty()) continue;
-
-      for (uint32_t mask = 1; mask + 1 < (1u << gs); ++mask) {
-        AttrSet f_attrs;
-        AttrSet v_attrs;
-        std::vector<int> f_cols;
-        std::vector<int> v_cols;
-        for (int i = 0; i < gs; ++i) {
-          const int attr = g_attrs[static_cast<size_t>(i)];
-          if (mask & (1u << i)) {
-            f_attrs.Add(attr);
-            f_cols.push_back(attr_to_pos[static_cast<size_t>(attr)]);
-          } else {
-            v_attrs.Add(attr);
-            v_cols.push_back(attr_to_pos[static_cast<size_t>(attr)]);
-          }
+      // Map G's plan onto the cube's columns: attribute a sits at
+      // attr_to_pos[a], and G's aggregates (shared's, minus those over an
+      // attribute of G, in the same order) after the n cube attributes.
+      const GroupPlan plan = mining_internal::PlanGroup(table, g, config);
+      if (plan.agg_cols.empty()) continue;
+      std::vector<AggColumnRef> agg_cols = plan.agg_cols;
+      size_t s = 0;
+      for (AggColumnRef& ref : agg_cols) {
+        while (shared.agg_cols[s].agg != ref.agg || shared.agg_cols[s].agg_attr != ref.agg_attr) {
+          ++s;
         }
-        if (!mining_internal::SplitAllowed(table, v_attrs, config)) continue;
-        Status st = EvaluateCubeSplit(*data, f_cols, v_cols, f_attrs, v_attrs, agg_cols,
-                                      table, config, &profile, &candidates, &stop);
+        ref.col_in_data = n + static_cast<int>(s++);
+      }
+      for (SplitPlan split : plan.splits) {
+        auto to_cube = [&](int& p) {
+          p = attr_to_pos[static_cast<size_t>(plan.g_attrs[static_cast<size_t>(p)])];
+        };
+        std::for_each(split.f_pos.begin(), split.f_pos.end(), to_cube);
+        std::for_each(split.v_pos.begin(), split.v_pos.end(), to_cube);
+        Status st = mining_internal::SortAndEvaluateSplit(*data, split, agg_cols, config,
+                                                          &profile, &candidates, &stop);
         if (st.IsStop()) {
           result.truncated = true;
           result.stop_reason = stop.reason();
@@ -141,31 +136,6 @@ class CubeMiner final : public PatternMiner {
     result.patterns = mining_internal::FinalizePatterns(std::move(candidates), config);
     profile.total_ns = total.ElapsedNanos();
     return result;
-  }
-
- private:
-  /// Sort + fit-scan for one (F, V) split; a stop Status leaves `candidates`
-  /// untouched (EvaluateSplit stages its contribution internally).
-  static Status EvaluateCubeSplit(const Table& data, const std::vector<int>& f_cols,
-                                  const std::vector<int>& v_cols, AttrSet f_attrs,
-                                  AttrSet v_attrs, const std::vector<AggColumnRef>& agg_cols,
-                                  const Table& table, const MiningConfig& config,
-                                  MiningProfile* profile, CandidateMap* candidates,
-                                  StopToken* stop) {
-    TablePtr sorted;
-    {
-      ScopedTimer timer(&profile->query_ns);
-      profile->num_sorts += 1;
-      CAPE_FAILPOINT("mining.sort");
-      std::vector<SortKey> keys;
-      for (int c : f_cols) keys.push_back(SortKey{c, true});
-      for (int c : v_cols) keys.push_back(SortKey{c, true});
-      CAPE_ASSIGN_OR_RETURN(sorted, SortTable(data, keys, stop));
-    }
-    const bool v_numeric = mining_internal::AllNumeric(table, v_attrs);
-    return mining_internal::EvaluateSplit(*sorted, f_cols, v_cols, v_numeric, f_attrs,
-                                          v_attrs, agg_cols, config, profile, candidates,
-                                          stop);
   }
 };
 

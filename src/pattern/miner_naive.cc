@@ -1,3 +1,5 @@
+#include <numeric>
+
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
@@ -9,7 +11,11 @@ namespace cape {
 
 namespace {
 
+using mining_internal::AggColumnRef;
 using mining_internal::CandidateMap;
+using mining_internal::GroupPlan;
+using mining_internal::SplitCandidate;
+using mining_internal::SplitPlan;
 
 /// Brute-force pattern discovery (Appendix C, Algorithms 3 and 4): for every
 /// candidate (F, V, agg, A, M), enumerate frag(R, P) and run one retrieval
@@ -30,41 +36,23 @@ class NaiveMiner final : public PatternMiner {
                           mining_internal::EnumerateGroupSets(*table.schema(), config));
     for (AttrSet g : group_sets) {
       if (result.truncated) break;
-      const auto agg_candidates = mining_internal::EnumerateAggCandidates(table, g, config);
-      const std::vector<int> g_attrs = g.ToIndices();
-      const int gs = static_cast<int>(g_attrs.size());
-      // All (F, V) splits with F, V non-empty.
-      for (uint32_t mask = 1; mask + 1 < (1u << gs); ++mask) {
+      const GroupPlan plan = mining_internal::PlanGroup(table, g, config);
+      for (const SplitPlan& split : plan.splits) {
+        for (const SplitCandidate& candidate : split.candidates) {
+          profile.num_candidates += 1;
+          Status st = EvaluateCandidate(table, plan.specs[candidate.agg], split,
+                                        candidate.pattern, config, &profile, &candidates,
+                                        &stop);
+          if (st.IsStop()) {
+            // The partially-evaluated candidate was discarded; keep the
+            // fully-evaluated ones and report truncation.
+            result.truncated = true;
+            result.stop_reason = stop.reason();
+            break;
+          }
+          CAPE_RETURN_IF_ERROR(st);
+        }
         if (result.truncated) break;
-        AttrSet f_attrs;
-        AttrSet v_attrs;
-        for (int i = 0; i < gs; ++i) {
-          if (mask & (1u << i)) {
-            f_attrs.Add(g_attrs[static_cast<size_t>(i)]);
-          } else {
-            v_attrs.Add(g_attrs[static_cast<size_t>(i)]);
-          }
-        }
-        if (!mining_internal::SplitAllowed(table, v_attrs, config)) continue;
-        const bool v_numeric = mining_internal::AllNumeric(table, v_attrs);
-        for (const auto& [agg, agg_attr] : agg_candidates) {
-          for (ModelType model : config.model_types) {
-            if (model == ModelType::kLinear && !v_numeric) continue;
-            Pattern pattern{f_attrs, v_attrs, agg, agg_attr, model};
-            profile.num_candidates += 1;
-            Status st =
-                EvaluateCandidate(table, pattern, config, &profile, &candidates, &stop);
-            if (st.IsStop()) {
-              // The partially-evaluated candidate was discarded; keep the
-              // fully-evaluated ones and report truncation.
-              result.truncated = true;
-              result.stop_reason = stop.reason();
-              break;
-            }
-            CAPE_RETURN_IF_ERROR(st);
-          }
-          if (result.truncated) break;
-        }
       }
     }
 
@@ -74,10 +62,12 @@ class NaiveMiner final : public PatternMiner {
   }
 
  private:
-  /// Algorithm 4 for a single candidate pattern. The candidate's stats are
-  /// staged locally and merged only when every fragment was evaluated, so a
-  /// stop mid-candidate leaves `candidates` untouched.
-  static Status EvaluateCandidate(const Table& table, const Pattern& pattern,
+  /// Algorithm 4 for a single candidate pattern of `split`, aggregating by
+  /// `spec`. The candidate's stats are staged locally and merged only when
+  /// every fragment was evaluated, so a stop mid-candidate leaves
+  /// `candidates` untouched.
+  static Status EvaluateCandidate(const Table& table, const AggregateSpec& spec,
+                                  const SplitPlan& split, const Pattern& pattern,
                                   const MiningConfig& config, MiningProfile* profile,
                                   CandidateMap* candidates, StopToken* stop) {
     const std::vector<int> f_attrs = pattern.partition_attrs.ToIndices();
@@ -91,11 +81,12 @@ class NaiveMiner final : public PatternMiner {
       CAPE_ASSIGN_OR_RETURN(fragments, ProjectDistinct(table, f_attrs, stop));
     }
 
-    AggregateSpec spec;
-    spec.func = pattern.agg;
-    spec.input_col = pattern.agg_attr;
-    spec.output_name = "agg";
-
+    // Q_{P,f} yields V at columns 0..|V|-1 and the aggregate after them.
+    std::vector<int> v_cols(v_attrs.size());
+    std::iota(v_cols.begin(), v_cols.end(), 0);
+    const std::vector<AggColumnRef> agg_cols = {
+        AggColumnRef{pattern.agg, pattern.agg_attr, static_cast<int>(v_attrs.size())}};
+    mining_internal::FragmentInputs inputs;
     CandidateMap staged;
     for (int64_t fr = 0; fr < fragments->num_rows(); ++fr) {
       CAPE_RETURN_IF_STOPPED(stop);
@@ -109,39 +100,15 @@ class NaiveMiner final : public PatternMiner {
       {
         ScopedTimer timer(&profile->query_ns);
         profile->num_queries += 1;
-        // Fused σ→γ: with vectorized kernels on, the fragment's filtered
-        // table is never materialized.
+        // Fused σ→γ: the fragment's filtered table is never materialized.
         CAPE_ASSIGN_OR_RETURN(fragment_data,
                               FilterGroupAggregate(table, conditions, v_attrs, {spec}, stop));
       }
       const int64_t support = fragment_data->num_rows();
-      const int agg_col = static_cast<int>(v_attrs.size());
-      std::vector<std::vector<double>> X;
-      std::vector<double> y;
-      X.reserve(static_cast<size_t>(support));
-      y.reserve(static_cast<size_t>(support));
-      // String predictors contribute a 0.0 placeholder (only the constant
-      // model is fitted when V is not all-numeric).
-      std::vector<bool> v_is_numeric;
-      v_is_numeric.reserve(v_attrs.size());
-      for (size_t vc = 0; vc < v_attrs.size(); ++vc) {
-        v_is_numeric.push_back(
-            IsNumericType(fragment_data->column(static_cast<int>(vc)).type()));
-      }
-      for (int64_t row = 0; row < support; ++row) {
-        if (fragment_data->column(agg_col).IsNull(row)) continue;
-        std::vector<double> x;
-        x.reserve(v_attrs.size());
-        for (size_t vc = 0; vc < v_attrs.size(); ++vc) {
-          x.push_back(v_is_numeric[vc]
-                          ? fragment_data->column(static_cast<int>(vc)).GetNumeric(row)
-                          : 0.0);
-        }
-        X.push_back(std::move(x));
-        y.push_back(fragment_data->column(agg_col).GetNumeric(row));
-      }
+      mining_internal::BuildFragmentInputs(*fragment_data, 0, support, v_cols,
+                                           split.v_is_numeric, agg_cols, &inputs);
       profile->num_rows_scanned += support;
-      mining_internal::FitFragmentCandidate(fragment, X, y, support, pattern.model,
+      mining_internal::FitFragmentCandidate(fragment, inputs.x[0], inputs.y[0], support,
                                             pattern, config, profile, &staged);
     }
     for (auto& [p, stats] : staged) {

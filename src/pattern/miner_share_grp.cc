@@ -1,6 +1,5 @@
 #include <algorithm>
 
-#include "common/failpoint.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -11,8 +10,9 @@ namespace cape {
 
 namespace {
 
-using mining_internal::AggColumnRef;
 using mining_internal::CandidateMap;
+using mining_internal::GroupPlan;
+using mining_internal::SplitPlan;
 
 /// SHARE-GRP (Section 4.1, "One query per F ∪ V"): one aggregation query per
 /// attribute set G computing every agg(A) combination at once, then one sort
@@ -69,14 +69,7 @@ class ShareGrpMiner final : public PatternMiner {
       for (auto& [pattern, stats] : worker_candidates[w]) {
         candidates.emplace(pattern, std::move(stats));
       }
-      profile.regression_ns += worker_profiles[w].regression_ns;
-      profile.query_ns += worker_profiles[w].query_ns;
-      profile.cpu_ns += worker_profiles[w].cpu_ns;
-      profile.num_candidates += worker_profiles[w].num_candidates;
-      profile.num_local_fits += worker_profiles[w].num_local_fits;
-      profile.num_queries += worker_profiles[w].num_queries;
-      profile.num_sorts += worker_profiles[w].num_sorts;
-      profile.num_rows_scanned += worker_profiles[w].num_rows_scanned;
+      profile.Add(worker_profiles[w]);
     }
 
     result.patterns = mining_internal::FinalizePatterns(std::move(candidates), config);
@@ -92,61 +85,13 @@ class ShareGrpMiner final : public PatternMiner {
   static Status ProcessGroupSet(const Table& table, AttrSet g, const MiningConfig& config,
                                 MiningProfile* profile, CandidateMap* candidates,
                                 StopToken* stop) {
-    const std::vector<int> g_attrs = g.ToIndices();
-    const int gs = static_cast<int>(g_attrs.size());
-
-    const auto agg_candidates = mining_internal::EnumerateAggCandidates(table, g, config);
-    if (agg_candidates.empty()) return Status::OK();
-    std::vector<AggregateSpec> specs;
-    std::vector<AggColumnRef> agg_cols;
-    specs.reserve(agg_candidates.size());
-    for (size_t i = 0; i < agg_candidates.size(); ++i) {
-      const auto& [agg, agg_attr] = agg_candidates[i];
-      AggregateSpec spec;
-      spec.func = agg;
-      spec.input_col = agg_attr;
-      spec.output_name = "agg" + std::to_string(i);
-      specs.push_back(std::move(spec));
-      agg_cols.push_back(AggColumnRef{agg, agg_attr, gs + static_cast<int>(i)});
-    }
-    TablePtr data;
-    {
-      ScopedTimer timer(&profile->query_ns);
-      profile->num_queries += 1;
-      CAPE_FAILPOINT("mining.group");
-      CAPE_ASSIGN_OR_RETURN(data, GroupByAggregate(table, g_attrs, specs, stop));
-    }
-
-    for (uint32_t mask = 1; mask + 1 < (1u << gs); ++mask) {
-      AttrSet f_attrs;
-      AttrSet v_attrs;
-      std::vector<int> f_cols;
-      std::vector<int> v_cols;
-      for (int i = 0; i < gs; ++i) {
-        if (mask & (1u << i)) {
-          f_attrs.Add(g_attrs[static_cast<size_t>(i)]);
-          f_cols.push_back(i);
-        } else {
-          v_attrs.Add(g_attrs[static_cast<size_t>(i)]);
-          v_cols.push_back(i);
-        }
-      }
-      if (!mining_internal::SplitAllowed(table, v_attrs, config)) continue;
-      TablePtr sorted;
-      {
-        ScopedTimer timer(&profile->query_ns);
-        profile->num_sorts += 1;
-        CAPE_FAILPOINT("mining.sort");
-        std::vector<SortKey> keys;
-        for (int c : f_cols) keys.push_back(SortKey{c, true});
-        for (int c : v_cols) keys.push_back(SortKey{c, true});
-        CAPE_ASSIGN_OR_RETURN(sorted, SortTable(*data, keys, stop));
-      }
-      const bool v_numeric = mining_internal::AllNumeric(table, v_attrs);
-      CAPE_RETURN_IF_ERROR(mining_internal::EvaluateSplit(*sorted, f_cols, v_cols,
-                                                          v_numeric, f_attrs, v_attrs,
-                                                          agg_cols, config, profile,
-                                                          candidates, stop));
+    const GroupPlan plan = mining_internal::PlanGroup(table, g, config);
+    if (plan.agg_cols.empty()) return Status::OK();
+    CAPE_ASSIGN_OR_RETURN(const TablePtr data,
+                          mining_internal::GroupQuery(table, plan, profile, stop));
+    for (const SplitPlan& split : plan.splits) {
+      CAPE_RETURN_IF_ERROR(mining_internal::SortAndEvaluateSplit(
+          *data, split, plan.agg_cols, config, profile, candidates, stop));
     }
     return Status::OK();
   }

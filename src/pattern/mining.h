@@ -145,6 +145,11 @@ struct MiningProfile {
     int64_t o = total_ns - regression_ns - query_ns;
     return o < 0 ? 0 : o;
   }
+
+  /// Adds the work of `part` (one worker's share of a parallel run): its
+  /// regression/query/cpu times and every counter. total_ns stays wall time
+  /// and the approximate-mode fields are left as they are.
+  void Add(const MiningProfile& part);
 };
 
 /// Result of one mining run.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/macros.h"
 #include "common/stopwatch.h"
 #include "stats/regression.h"
 
@@ -46,58 +48,87 @@ Result<std::vector<AttrSet>> EnumerateGroupSets(const Schema& schema,
   return out;
 }
 
-std::vector<std::pair<AggFunc, int>> EnumerateAggCandidates(const Table& table, AttrSet g,
-                                                            const MiningConfig& config) {
-  std::vector<std::pair<AggFunc, int>> out;
-  const AttrSet allowed = AllowedAttrs(*table.schema(), config);
+GroupPlan PlanGroup(const Table& table, AttrSet g, const MiningConfig& config) {
+  GroupPlan plan;
+  plan.g_attrs = g.ToIndices();
+  const int gs = static_cast<int>(plan.g_attrs.size());
+  const Schema& schema = *table.schema();
+  const std::vector<int> allowed = AllowedAttrs(schema, config).ToIndices();
+  auto add_agg = [&](AggFunc agg, int agg_attr) {
+    const int i = static_cast<int>(plan.specs.size());
+    plan.specs.push_back(AggregateSpec{agg, agg_attr, "agg" + std::to_string(i)});
+    plan.agg_cols.push_back(AggColumnRef{agg, agg_attr, gs + i});
+  };
   for (AggFunc agg : config.agg_functions) {
     if (agg == AggFunc::kCount) {
-      out.emplace_back(AggFunc::kCount, Pattern::kCountStar);
-      continue;
-    }
-    if (agg == AggFunc::kAvg) continue;  // not part of Definition 2
-    for (int a : allowed.ToIndices()) {
-      if (g.Contains(a)) continue;
-      if (!IsNumericType(table.schema()->field(a).type)) continue;
-      out.emplace_back(agg, a);
+      add_agg(AggFunc::kCount, Pattern::kCountStar);
+    } else if (agg != AggFunc::kAvg) {  // avg is not part of Definition 2
+      for (int a : allowed) {
+        if (!g.Contains(a) && IsNumericType(schema.field(a).type)) add_agg(agg, a);
+      }
     }
   }
-  return out;
+
+  for (uint32_t mask = 1; mask + 1 < (1u << gs); ++mask) {
+    SplitPlan split;
+    for (int i = 0; i < gs; ++i) {
+      const int attr = plan.g_attrs[static_cast<size_t>(i)];
+      if (mask & (1u << i)) {
+        split.f_attrs.Add(attr);
+        split.f_pos.push_back(i);
+      } else {
+        split.v_attrs.Add(attr);
+        split.v_pos.push_back(i);
+      }
+    }
+    for (int p : split.v_pos) {
+      const int attr = plan.g_attrs[static_cast<size_t>(p)];
+      split.v_is_numeric.push_back(IsNumericType(schema.field(attr).type));
+    }
+    split.v_all_numeric = std::find(split.v_is_numeric.begin(), split.v_is_numeric.end(),
+                                    false) == split.v_is_numeric.end();
+    if (config.require_numeric_predictors && !split.v_all_numeric) continue;
+    for (size_t a = 0; a < plan.agg_cols.size(); ++a) {
+      for (ModelType model : config.model_types) {
+        if (model == ModelType::kLinear && !split.v_all_numeric) continue;
+        split.candidates.push_back(SplitCandidate{
+            a, Pattern{split.f_attrs, split.v_attrs, plan.agg_cols[a].agg,
+                       plan.agg_cols[a].agg_attr, model}});
+      }
+    }
+    plan.splits.push_back(std::move(split));
+  }
+  return plan;
 }
 
-SharedAggSpecs BuildSharedAggSpecs(const Table& table, AttrSet candidate_attrs,
-                                   const MiningConfig& config) {
-  SharedAggSpecs out;
-  for (AggFunc agg : config.agg_functions) {
-    if (agg == AggFunc::kCount) {
-      out.specs.push_back(AggregateSpec::CountStar("count_star"));
-      out.meaning.emplace_back(AggFunc::kCount, Pattern::kCountStar);
-      continue;
-    }
-    if (agg == AggFunc::kAvg) continue;
-    for (int a : candidate_attrs.ToIndices()) {
-      if (!IsNumericType(table.schema()->field(a).type)) continue;
-      AggregateSpec spec;
-      spec.func = agg;
-      spec.input_col = a;
-      spec.output_name = std::string(AggFuncToString(agg)) + "_" +
-                         table.schema()->field(a).name;
-      out.specs.push_back(std::move(spec));
-      out.meaning.emplace_back(agg, a);
-    }
+int GroupPlan::FindSplit(AttrSet f_attrs) const {
+  for (size_t i = 0; i < splits.size(); ++i) {
+    if (splits[i].f_attrs == f_attrs) return static_cast<int>(i);
   }
-  return out;
+  return -1;
 }
 
-bool AllNumeric(const Table& table, AttrSet attrs) {
-  for (int a : attrs.ToIndices()) {
-    if (!IsNumericType(table.schema()->field(a).type)) return false;
-  }
-  return true;
+Result<TablePtr> GroupQuery(const Table& table, const GroupPlan& plan,
+                            MiningProfile* profile, StopToken* stop) {
+  ScopedTimer timer(&profile->query_ns);
+  profile->num_queries += 1;
+  CAPE_FAILPOINT("mining.group");
+  return GroupByAggregate(table, plan.g_attrs, plan.specs, stop);
+}
+
+Result<TablePtr> SortQuery(const Table& data, const std::vector<int>& cols,
+                           MiningProfile* profile, StopToken* stop) {
+  ScopedTimer timer(&profile->query_ns);
+  profile->num_sorts += 1;
+  CAPE_FAILPOINT("mining.sort");
+  std::vector<SortKey> keys;
+  keys.reserve(cols.size());
+  for (int c : cols) keys.push_back(SortKey{c, true});
+  return SortTable(data, keys, stop);
 }
 
 void FitFragmentCandidate(const Row& fragment, const std::vector<std::vector<double>>& X,
-                          const std::vector<double>& y, int64_t support, ModelType model,
+                          const std::vector<double>& y, int64_t support,
                           const Pattern& pattern, const MiningConfig& config,
                           MiningProfile* profile, CandidateMap* candidates) {
   auto [it, inserted] = candidates->try_emplace(pattern);
@@ -112,7 +143,7 @@ void FitFragmentCandidate(const Row& fragment, const std::vector<std::vector<dou
   std::unique_ptr<RegressionModel> fitted;
   {
     ScopedTimer timer(&profile->regression_ns);
-    auto fit_result = FitRegression(model, X, y);
+    auto fit_result = FitRegression(pattern.model, X, y);
     if (!fit_result.ok()) return;
     fitted = std::move(fit_result).ValueOrDie();
   }
@@ -137,103 +168,69 @@ void FitFragmentCandidate(const Row& fragment, const std::vector<std::vector<dou
   stats.locals.push_back(std::move(local));
 }
 
-Status EvaluateSplit(const Table& data, const std::vector<int>& f_cols,
-                     const std::vector<int>& v_cols, bool v_all_numeric, AttrSet f_attrs,
-                     AttrSet v_attrs, const std::vector<AggColumnRef>& agg_cols,
-                     const MiningConfig& config, MiningProfile* profile,
-                     CandidateMap* candidates, StopToken* stop) {
+void BuildFragmentInputs(const Table& data, int64_t begin, int64_t end,
+                         const std::vector<int>& v_cols,
+                         const std::vector<bool>& v_is_numeric,
+                         const std::vector<AggColumnRef>& agg_cols, FragmentInputs* out) {
+  out->x.resize(agg_cols.size());
+  out->y.resize(agg_cols.size());
+  for (size_t a = 0; a < agg_cols.size(); ++a) {
+    out->x[a].clear();
+    out->y[a].clear();
+  }
+  std::vector<double> x(v_cols.size());
+  for (int64_t row = begin; row < end; ++row) {
+    for (size_t v = 0; v < v_cols.size(); ++v) {
+      x[v] = v_is_numeric[v] ? data.column(v_cols[v]).GetNumeric(row) : 0.0;
+    }
+    for (size_t a = 0; a < agg_cols.size(); ++a) {
+      const Column& col = data.column(agg_cols[a].col_in_data);
+      if (col.IsNull(row)) continue;
+      out->y[a].push_back(col.GetNumeric(row));
+      out->x[a].push_back(x);
+    }
+  }
+}
+
+Status EvaluateSplit(const Table& data, const SplitPlan& split,
+                     const std::vector<AggColumnRef>& agg_cols, const MiningConfig& config,
+                     MiningProfile* profile, CandidateMap* candidates, StopToken* stop) {
   CAPE_RETURN_IF_STOPPED(stop);  // small splits never reach the stride below
   const int64_t n = data.num_rows();
+  profile->num_candidates += static_cast<int64_t>(split.candidates.size());
 
   // Staging area: a stop mid-split must not leave half-evaluated candidate
   // stats behind, so the split accumulates locally and merges on success.
   // Candidate keys are unique per (F, V) split, so the merge never collides.
   CandidateMap staged;
-
-  // Reused per-block buffers: predictor matrix and one response vector per
-  // aggregate column (rows with NULL aggregates are excluded per column).
-  std::vector<std::vector<double>> X;
-  std::vector<std::vector<double>> ys(agg_cols.size());
-  std::vector<std::vector<std::vector<double>>> x_per_agg(agg_cols.size());
-
-  // String predictors contribute a 0.0 placeholder to X (only the constant
-  // model — which ignores X — is fitted when V is not all-numeric).
-  std::vector<bool> v_is_numeric;
-  v_is_numeric.reserve(v_cols.size());
-  for (int c : v_cols) v_is_numeric.push_back(IsNumericType(data.column(c).type()));
-
-  auto process_block = [&](int64_t begin, int64_t end) {
-    const int64_t support = end - begin;
-    Row fragment;
-    fragment.reserve(f_cols.size());
-    for (int c : f_cols) fragment.push_back(data.GetValue(begin, c));
-
-    X.clear();
-    for (auto& y : ys) y.clear();
-    for (auto& xs : x_per_agg) xs.clear();
-    for (int64_t row = begin; row < end; ++row) {
-      std::vector<double> x;
-      x.reserve(v_cols.size());
-      for (size_t v = 0; v < v_cols.size(); ++v) {
-        x.push_back(v_is_numeric[v] ? data.column(v_cols[v]).GetNumeric(row) : 0.0);
-      }
-      for (size_t a = 0; a < agg_cols.size(); ++a) {
-        const Column& col = data.column(agg_cols[a].col_in_data);
-        if (col.IsNull(row)) continue;
-        ys[a].push_back(col.GetNumeric(row));
-        x_per_agg[a].push_back(x);
-      }
-      X.push_back(std::move(x));
-    }
-
-    for (size_t a = 0; a < agg_cols.size(); ++a) {
-      for (ModelType model : config.model_types) {
-        if (model == ModelType::kLinear && !v_all_numeric) continue;
-        Pattern pattern;
-        pattern.partition_attrs = f_attrs;
-        pattern.predictor_attrs = v_attrs;
-        pattern.agg = agg_cols[a].agg;
-        pattern.agg_attr = agg_cols[a].agg_attr;
-        pattern.model = model;
-        FitFragmentCandidate(fragment, x_per_agg[a], ys[a], support, model, pattern,
-                             config, profile, &staged);
-      }
-    }
-  };
-
-  // Count each (agg, model) combination once per split as a candidate.
-  for (size_t a = 0; a < agg_cols.size(); ++a) {
-    for (ModelType model : config.model_types) {
-      if (model == ModelType::kLinear && !v_all_numeric) continue;
-      profile->num_candidates += 1;
-    }
-  }
+  FragmentInputs inputs;
+  std::vector<SortKey> f_keys;
+  for (int c : split.f_pos) f_keys.push_back(SortKey{c, true});
+  const RowOrder f_order(data, f_keys, /*rank_strings=*/false);
 
   // Stop checks run every kStopCheckStride scanned rows rather than at every
   // fragment boundary: the staged CandidateMap is discarded wholesale on
   // stop, so any check granularity is safe, and high-cardinality F sets have
   // a boundary nearly every row.
-  int64_t block_start = 0;
+  int64_t begin = 0;
   int64_t rows_since_check = 0;
-  for (int64_t row = 1; row <= n; ++row) {
-    bool boundary = (row == n);
-    if (!boundary) {
-      for (int c : f_cols) {
-        if (data.GetValue(row, c) != data.GetValue(row - 1, c)) {
-          boundary = true;
-          break;
-        }
-      }
+  for (int64_t end = 1; end <= n; ++end) {
+    if (end < n && f_order.Equal(end - 1, end)) continue;
+    rows_since_check += end - begin;
+    if (rows_since_check >= kStopCheckStride) {
+      CAPE_RETURN_IF_STOPPED_BLOCK(stop);
+      rows_since_check = 0;
     }
-    if (boundary) {
-      rows_since_check += row - block_start;
-      if (rows_since_check >= kStopCheckStride) {
-        CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-        rows_since_check = 0;
-      }
-      process_block(block_start, row);
-      block_start = row;
+    Row fragment;
+    fragment.reserve(split.f_pos.size());
+    for (int c : split.f_pos) fragment.push_back(data.GetValue(begin, c));
+    BuildFragmentInputs(data, begin, end, split.v_pos, split.v_is_numeric, agg_cols, &inputs);
+    // analyzer:allow-next-line(cancellation) candidates are schema-bounded (agg x model)
+    for (const SplitCandidate& candidate : split.candidates) {
+      FitFragmentCandidate(fragment, inputs.x[candidate.agg], inputs.y[candidate.agg],
+                           end - begin, candidate.pattern, config, profile, &staged);
     }
+    begin = end;
   }
   profile->num_rows_scanned += n;
 
@@ -241,6 +238,16 @@ Status EvaluateSplit(const Table& data, const std::vector<int>& f_cols,
     candidates->insert_or_assign(pattern, std::move(stats));
   }
   return Status::OK();
+}
+
+Status SortAndEvaluateSplit(const Table& data, const SplitPlan& split,
+                            const std::vector<AggColumnRef>& agg_cols,
+                            const MiningConfig& config, MiningProfile* profile,
+                            CandidateMap* candidates, StopToken* stop) {
+  std::vector<int> cols = split.f_pos;
+  cols.insert(cols.end(), split.v_pos.begin(), split.v_pos.end());
+  CAPE_ASSIGN_OR_RETURN(const TablePtr sorted, SortQuery(data, cols, profile, stop));
+  return EvaluateSplit(*sorted, split, agg_cols, config, profile, candidates, stop);
 }
 
 PatternSet FinalizePatterns(CandidateMap candidates, const MiningConfig& config) {
@@ -291,6 +298,18 @@ PatternSet FinalizePatterns(CandidateMap candidates, const MiningConfig& config)
 }  // namespace cape::mining_internal
 
 namespace cape {
+
+void MiningProfile::Add(const MiningProfile& part) {
+  regression_ns += part.regression_ns;
+  query_ns += part.query_ns;
+  cpu_ns += part.cpu_ns;
+  num_candidates += part.num_candidates;
+  num_candidates_skipped_fd += part.num_candidates_skipped_fd;
+  num_local_fits += part.num_local_fits;
+  num_queries += part.num_queries;
+  num_sorts += part.num_sorts;
+  num_rows_scanned += part.num_rows_scanned;
+}
 
 uint64_t MiningConfigDigest(const MiningConfig& config) {
   Fnv64 h;

@@ -35,21 +35,6 @@ AttrSet AllowedAttrs(const Schema& schema, const MiningConfig& config);
 Result<std::vector<AttrSet>> EnumerateGroupSets(const Schema& schema,
                                                 const MiningConfig& config);
 
-/// (agg, A) combinations valid for attribute set G: (count, *) plus
-/// (sum|min|max, A) for each allowed numeric A outside G.
-std::vector<std::pair<AggFunc, int>> EnumerateAggCandidates(const Table& table, AttrSet g,
-                                                            const MiningConfig& config);
-
-/// Aggregate specs computing every EnumerateAggCandidates combo over the
-/// *whole* allowed attribute set (used by the CUBE miner which shares one
-/// query). Returns specs plus, for each, the (agg, attr) it computes.
-struct SharedAggSpecs {
-  std::vector<AggregateSpec> specs;
-  std::vector<std::pair<AggFunc, int>> meaning;  // parallel to specs
-};
-SharedAggSpecs BuildSharedAggSpecs(const Table& table, AttrSet candidate_attrs,
-                                   const MiningConfig& config);
-
 /// One aggregate column inside an aggregated data table.
 struct AggColumnRef {
   AggFunc agg = AggFunc::kCount;
@@ -57,46 +42,112 @@ struct AggColumnRef {
   int col_in_data = -1;
 };
 
-/// Evaluates every (agg, model) candidate for the split (F, V) with one
-/// scan of `data`, which must be the aggregation of R on G = F ∪ V, sorted
-/// so that rows with equal F values are consecutive.
-///
-/// `f_cols`/`v_cols` give the positions of F/V inside `data` in ascending
-/// R-attribute order (fragment rows and model features use that order so
-/// all miners produce identical PatternSets).
+/// One (agg, model) candidate of a split; `agg` indexes the aggregate
+/// columns the split is evaluated with (GroupPlan::agg_cols).
+struct SplitCandidate {
+  size_t agg = 0;
+  Pattern pattern;
+};
+
+/// One allowed (F, V) split of an attribute set G: F and V non-empty,
+/// F ∪ V = G, and V passing the require_numeric_predictors gate.
+struct SplitPlan {
+  AttrSet f_attrs;
+  AttrSet v_attrs;
+  /// Positions of F and V within GroupPlan::g_attrs, ascending — their
+  /// column positions in γ_G's output. Fragment rows and model features use
+  /// this ascending R-attribute order, so all miners produce identical
+  /// PatternSets.
+  std::vector<int> f_pos;
+  std::vector<int> v_pos;
+  bool v_all_numeric = false;
+  std::vector<bool> v_is_numeric;  // parallel to v_pos
+  /// Aggregate-major, then MiningConfig::model_types order; linear models
+  /// only when V is all numeric (string predictors have no order to fit).
+  std::vector<SplitCandidate> candidates;
+};
+
+/// The candidate space of one attribute set G (Section 4): its (agg, A)
+/// combinations — (count, *) plus (sum|min|max, A) for each allowed numeric
+/// A outside G — and every allowed (F, V) split with its candidates.
+struct GroupPlan {
+  std::vector<int> g_attrs;  // ascending
+  /// γ_G's aggregate list (aggregate i is named "agg<i>") and, parallel to
+  /// it, each aggregate's column in γ_G's output: |G| + i.
+  std::vector<AggregateSpec> specs;
+  std::vector<AggColumnRef> agg_cols;
+  /// In ascending order of the F bitmask over g_attrs.
+  std::vector<SplitPlan> splits;
+
+  /// Index into `splits` of the split with partition attributes `f_attrs`,
+  /// or -1 when that split is not allowed.
+  int FindSplit(AttrSet f_attrs) const;
+};
+
+/// The plan of attribute set G under `config`. With G = ∅ the aggregates
+/// are every candidate (agg, A) of the relation and there are no splits.
+GroupPlan PlanGroup(const Table& table, AttrSet g, const MiningConfig& config);
+
+/// One group-by query of the miners: γ_{G, plan.specs}(table), timed into
+/// profile->query_ns and counted in num_queries.
+Result<TablePtr> GroupQuery(const Table& table, const GroupPlan& plan,
+                            MiningProfile* profile, StopToken* stop);
+
+/// One sort query of the miners: `data` sorted ascending by the columns
+/// `cols`, timed into profile->query_ns and counted in num_sorts.
+Result<TablePtr> SortQuery(const Table& data, const std::vector<int>& cols,
+                           MiningProfile* profile, StopToken* stop);
+
+/// Regression inputs of one fragment, per aggregate column: the predictor
+/// rows and responses of the fragment rows whose aggregate is non-NULL.
+/// Buffers keep their capacity across fragments.
+struct FragmentInputs {
+  std::vector<std::vector<std::vector<double>>> x;  // [agg][row][v]
+  std::vector<std::vector<double>> y;               // [agg][row]
+};
+
+/// Fills `out` from rows [begin, end) of `data`: predictors from columns
+/// `v_cols` (string predictors read 0.0 — only the constant model, which
+/// ignores X, is fitted over them), one response per `agg_cols` entry.
+void BuildFragmentInputs(const Table& data, int64_t begin, int64_t end,
+                         const std::vector<int>& v_cols,
+                         const std::vector<bool>& v_is_numeric,
+                         const std::vector<AggColumnRef>& agg_cols, FragmentInputs* out);
+
+/// Evaluates every candidate of `split` with one scan of `data`, an
+/// aggregation of R on G sorted so that rows with equal F values (under
+/// RowOrder) are consecutive. F and V sit at columns split.f_pos/v_pos of
+/// `data`, the aggregates at agg_cols[i].col_in_data.
 ///
 /// The split's contribution is staged locally and merged into `candidates`
 /// only on completion; when `stop` fires mid-scan the stop Status is
 /// returned and `candidates` is left untouched, so truncated mining runs
 /// never contain partially-evaluated candidates.
-Status EvaluateSplit(const Table& data, const std::vector<int>& f_cols,
-                     const std::vector<int>& v_cols, bool v_all_numeric, AttrSet f_attrs,
-                     AttrSet v_attrs, const std::vector<AggColumnRef>& agg_cols,
-                     const MiningConfig& config, MiningProfile* profile,
-                     CandidateMap* candidates, StopToken* stop = nullptr);
+Status EvaluateSplit(const Table& data, const SplitPlan& split,
+                     const std::vector<AggColumnRef>& agg_cols, const MiningConfig& config,
+                     MiningProfile* profile, CandidateMap* candidates,
+                     StopToken* stop = nullptr);
+
+/// SortQuery by F then V, then EvaluateSplit on the sorted rows: the
+/// per-split step of CUBE and SHARE-GRP.
+Status SortAndEvaluateSplit(const Table& data, const SplitPlan& split,
+                            const std::vector<AggColumnRef>& agg_cols,
+                            const MiningConfig& config, MiningProfile* profile,
+                            CandidateMap* candidates, StopToken* stop);
 
 /// Fits one (pattern, fragment) combination on prepared regression data and
 /// folds the outcome into the candidate map: bumps fragment/support/holding
-/// counters, fits the model (timed into profile->regression_ns), and stores
+/// counters, fits pattern.model (timed into profile->regression_ns), and stores
 /// a LocalPattern when the pattern holds locally (Definition 3). `X` and `y`
 /// must exclude NULL aggregate rows; `support` is the full |Q_{P,f}(R)|.
 void FitFragmentCandidate(const Row& fragment, const std::vector<std::vector<double>>& X,
-                          const std::vector<double>& y, int64_t support, ModelType model,
+                          const std::vector<double>& y, int64_t support,
                           const Pattern& pattern, const MiningConfig& config,
                           MiningProfile* profile, CandidateMap* candidates);
 
 /// Converts accumulated candidate stats into the set of globally-holding
 /// patterns (Definition 4), deterministically ordered.
 PatternSet FinalizePatterns(CandidateMap candidates, const MiningConfig& config);
-
-/// True when every attribute in `attrs` has a numeric column type.
-bool AllNumeric(const Table& table, AttrSet attrs);
-
-/// Whether the (F, V) split with predictor set `v_attrs` may produce
-/// candidates under `config` (the require_numeric_predictors gate).
-inline bool SplitAllowed(const Table& table, AttrSet v_attrs, const MiningConfig& config) {
-  return !config.require_numeric_predictors || AllNumeric(table, v_attrs);
-}
 
 }  // namespace cape::mining_internal
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <iterator>
 #include <numeric>
 
@@ -294,43 +295,82 @@ Result<TablePtr> ProjectDistinct(const Table& table, const std::vector<int>& col
   return FilterGroupAggregate(table, {}, cols, {}, stop);
 }
 
-namespace {
+RowOrder::RowOrder(const Table& table, const std::vector<SortKey>& keys, bool rank_strings) {
+  keys_.reserve(keys.size());
+  for (const SortKey& k : keys) {
+    Key key;
+    key.col = &table.column(k.col);
+    key.ascending = k.ascending;
+    // Rank order is string order and rank equality is string equality, so
+    // an O(d log d) remap turns every later comparison into integer compares.
+    if (rank_strings && key.col->type() == DataType::kString) {
+      key.ranks = key.col->SortedCodeRanks();
+    }
+    keys_.push_back(std::move(key));
+  }
+}
 
-/// Typed row comparison on one column, NULL-first, no Value boxing. String
-/// cells compare by `ranks` (Column::SortedCodeRanks): rank order is string
-/// order and rank equality is string equality, so an O(d log d) remap turns
-/// the O(n log n) comparison phase into integer compares.
-int CompareCells(const Column& col, const std::vector<int32_t>& ranks, int64_t a, int64_t b) {
+int RowOrder::CompareKey(size_t k, int64_t a, int64_t b) const {
+  const Key& key = keys_[k];
+  const Column& col = *key.col;
+  int cmp = 0;
   if (col.type() == DataType::kString) {
     // NULL codes are negative, so the code alone decides NULL-first.
     const int32_t ca = col.GetCode(a);
     const int32_t cb = col.GetCode(b);
-    if (ca < 0 || cb < 0) return static_cast<int>(ca >= 0) - static_cast<int>(cb >= 0);
-    const int32_t x = ranks[static_cast<size_t>(ca)];
-    const int32_t y = ranks[static_cast<size_t>(cb)];
-    return x < y ? -1 : (x > y ? 1 : 0);
+    if (ca < 0 || cb < 0) {
+      cmp = static_cast<int>(ca >= 0) - static_cast<int>(cb >= 0);
+    } else {
+      const int32_t x = key.ranks[static_cast<size_t>(ca)];
+      const int32_t y = key.ranks[static_cast<size_t>(cb)];
+      cmp = x < y ? -1 : (x > y ? 1 : 0);
+    }
+  } else if (col.IsNull(a) || col.IsNull(b)) {
+    cmp = static_cast<int>(!col.IsNull(a)) - static_cast<int>(!col.IsNull(b));
+  } else if (col.type() == DataType::kInt64) {
+    const int64_t x = col.GetInt64(a);
+    const int64_t y = col.GetInt64(b);
+    cmp = x < y ? -1 : (x > y ? 1 : 0);
+  } else {
+    const double x = col.GetDouble(a);
+    const double y = col.GetDouble(b);
+    // Unordered only when a NaN is involved: NaN sorts last, equal to NaN.
+    cmp = x < y   ? -1
+          : x > y ? 1
+          : x == y ? 0
+                   : static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
   }
-  const bool a_null = col.IsNull(a);
-  const bool b_null = col.IsNull(b);
-  if (a_null || b_null) return static_cast<int>(!a_null) - static_cast<int>(!b_null);
-  switch (col.type()) {
-    case DataType::kInt64: {
-      const int64_t x = col.GetInt64(a);
-      const int64_t y = col.GetInt64(b);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kDouble: {
-      const double x = col.GetDouble(a);
-      const double y = col.GetDouble(b);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kString:
-      break;  // handled above
+  return key.ascending ? cmp : -cmp;
+}
+
+int RowOrder::Compare(int64_t a, int64_t b) const {
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    const int cmp = CompareKey(k, a, b);
+    if (cmp != 0) return cmp;
   }
   return 0;
 }
 
-}  // namespace
+bool RowOrder::Equal(int64_t a, int64_t b) const {
+  for (const Key& key : keys_) {
+    const Column& col = *key.col;
+    if (col.type() == DataType::kString) {
+      if (col.GetCode(a) != col.GetCode(b)) return false;
+      continue;
+    }
+    const bool a_null = col.IsNull(a);
+    if (a_null != col.IsNull(b)) return false;
+    if (a_null) continue;
+    if (col.type() == DataType::kInt64) {
+      if (col.GetInt64(a) != col.GetInt64(b)) return false;
+      continue;
+    }
+    const double x = col.GetDouble(a);
+    const double y = col.GetDouble(b);
+    if (x != y && !(std::isnan(x) && std::isnan(y))) return false;
+  }
+  return true;
+}
 
 Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
                            StopToken* stop) {
@@ -340,19 +380,11 @@ Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
     return Status::NotImplemented("SortTable requires resident rows");
   }
   if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
-  std::vector<std::vector<int32_t>> string_ranks(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const Column& col = table.column(keys[i].col);
-    if (col.type() == DataType::kString) string_ranks[i] = col.SortedCodeRanks();
-  }
+  const RowOrder row_order(table, keys);
   std::vector<int64_t> order(static_cast<size_t>(table.num_rows()));
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const int cmp = CompareCells(table.column(keys[i].col), string_ranks[i], a, b);
-      if (cmp != 0) return keys[i].ascending ? cmp < 0 : cmp > 0;
-    }
-    return false;
+  std::stable_sort(order.begin(), order.end(), [&row_order](int64_t a, int64_t b) {
+    return row_order.Compare(a, b) < 0;
   });
   CAPE_RETURN_IF_STOPPED(stop);
   auto out = std::make_shared<Table>(table.schema());

@@ -91,9 +91,44 @@ struct SortKey {
   bool ascending = true;
 };
 
-/// Stable multi-key sort; returns a new materialized table. The comparison
-/// phase is not interruptible (std::stable_sort); the stop token is checked
-/// before and after it and during row materialization.
+/// The engine's one cell order: a typed row comparison over the key columns
+/// of one table, without Value boxing. Per key, ascending: NULL first and
+/// equal to NULL; int64 exact; doubles numeric with -0.0 == 0.0 and NaN
+/// after every other double and equal to NaN (PostgreSQL's rule, so the
+/// order is a strict weak ordering); strings by content, compared as
+/// Column::SortedCodeRanks ranks. SortTable sorts by it, the miners cut
+/// fragments where it reports a difference, and the pattern maintainer
+/// orders fragment cells by it.
+///
+/// Holds pointers into `table`'s columns: use it while the table is not
+/// appended to.
+class RowOrder {
+ public:
+  /// Ranks each string key column (O(d log d) in its dictionary) unless
+  /// `rank_strings` is false; such an order answers only Equal, which needs
+  /// no ranks because string codes are unique per column.
+  RowOrder(const Table& table, const std::vector<SortKey>& keys, bool rank_strings = true);
+
+  /// Three-way comparison of rows a and b on key `k` alone, honoring its
+  /// direction.
+  int CompareKey(size_t k, int64_t a, int64_t b) const;
+  /// Lexicographic three-way comparison over every key.
+  int Compare(int64_t a, int64_t b) const;
+  /// Compare(a, b) == 0.
+  bool Equal(int64_t a, int64_t b) const;
+
+ private:
+  struct Key {
+    const Column* col = nullptr;
+    bool ascending = true;
+    std::vector<int32_t> ranks;  // string keys of a ranked order
+  };
+  std::vector<Key> keys_;
+};
+
+/// Stable multi-key sort by RowOrder; returns a new materialized table. The
+/// comparison phase is not interruptible (std::stable_sort); the stop token
+/// is checked before and after it and during row materialization.
 Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
                            StopToken* stop = nullptr);
 

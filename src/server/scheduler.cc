@@ -77,11 +77,7 @@ RequestScheduler::RequestScheduler(const Engine* engine, Catalog catalog, Thread
       catalog_(std::move(catalog)),
       pool_(pool),
       config_(config),
-      admission_(config.admission) {
-  MutexLock lock(mu_);
-  max_sessions_ =
-      config_.num_sessions > 0 ? config_.num_sessions : pool_->num_threads() + 1;
-}
+      admission_(config.admission) {}
 
 RequestScheduler::~RequestScheduler() { Shutdown(); }
 
@@ -135,35 +131,6 @@ void RequestScheduler::Submit(Request request, ResponseCallback done) {
   done(rejection);
 }
 
-std::unique_ptr<ExplainSession> RequestScheduler::AcquireSession() {
-  MutexLock lock(mu_);
-  while (free_sessions_.empty() && sessions_outstanding_ >= max_sessions_) {
-    session_cv_.Wait(mu_);
-  }
-  ++sessions_outstanding_;
-  if (!free_sessions_.empty()) {
-    std::unique_ptr<ExplainSession> session = std::move(free_sessions_.back());
-    free_sessions_.pop_back();
-    return session;
-  }
-  Result<ExplainSession> fresh = engine_->MakeExplainSession();
-  if (!fresh.ok()) {
-    // Only possible when the engine has no patterns — a setup error surfaced
-    // per-request as a structured kError by Execute.
-    --sessions_outstanding_;
-    session_cv_.NotifyOne();
-    return nullptr;
-  }
-  return std::make_unique<ExplainSession>(std::move(fresh).ValueOrDie());
-}
-
-void RequestScheduler::ReleaseSession(std::unique_ptr<ExplainSession> session) {
-  MutexLock lock(mu_);
-  --sessions_outstanding_;
-  if (session != nullptr) free_sessions_.push_back(std::move(session));
-  session_cv_.NotifyOne();
-}
-
 void RequestScheduler::RunOne() {
   Pending pending;
   std::function<void()> hook;
@@ -194,24 +161,13 @@ void RequestScheduler::RunOne() {
   if (IsAppendStatement(pending.request.statement)) {
     AcquireWriteGate();
     Response response = ExecuteAppend(pending);
-    if (response.outcome == Outcome::kOk) {
-      // The append replaced the engine's pattern set and explain state;
-      // pooled sessions hold the old ones. Drop them so later requests
-      // explain against the upgraded patterns. (No session is outstanding:
-      // sessions are only held under the read gate, which the write gate
-      // excludes.)
-      MutexLock lock(mu_);
-      free_sessions_.clear();
-    }
     ReleaseWriteGate();
     Finish(&pending, std::move(response));
     return;
   }
 
   AcquireReadGate();
-  std::unique_ptr<ExplainSession> session = AcquireSession();
-  Response response = Execute(pending, session.get(), degraded);
-  ReleaseSession(std::move(session));
+  Response response = Execute(pending, degraded);
   ReleaseReadGate();
   Finish(&pending, std::move(response));
 }
@@ -318,8 +274,7 @@ Response RequestScheduler::ExecuteAppend(const Pending& pending) {
   }
 }
 
-Response RequestScheduler::Execute(const Pending& pending, ExplainSession* session,
-                                   bool degraded) {
+Response RequestScheduler::Execute(const Pending& pending, bool degraded) {
   Response response;
   response.id = pending.request.id;
   // The zero-crash guarantee for serving threads: anything an execution path
@@ -347,7 +302,11 @@ Response RequestScheduler::Execute(const Pending& pending, ExplainSession* sessi
     }
 
     if (const auto* cmd = std::get_if<ExplainWhyCommand>(&*parsed)) {
-      if (session == nullptr) {
+      // Sessions are opened per request: the append path replaces the
+      // engine's explain state, and a fresh session always reads the
+      // current one.
+      Result<ExplainSession> session = engine_->MakeExplainSession();
+      if (!session.ok()) {
         response.outcome = Outcome::kError;
         response.error = "engine has no mined patterns";
         return response;

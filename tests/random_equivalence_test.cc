@@ -223,8 +223,10 @@ TEST_P(RandomEquivalenceTest, VectorizedKernelsMatchWithDictionaryKernelsDisable
   };
   ExpectKernelsMatchReference(fx, filters, {{0}, {0, 1}, {1, 2}, {}}, AllAggregateShapes(),
                               "seed " + std::to_string(GetParam()));
+  // The double key holds NaN (two bit patterns), -0.0 next to 0.0 and NULL.
   for (const std::vector<SortKey>& keys : std::vector<std::vector<SortKey>>{
-           {{0, true}}, {{1, false}, {0, true}}}) {
+           {{0, true}}, {{1, false}, {0, true}}, {{2, true}}, {{2, false}},
+           {{2, true}, {0, false}}}) {
     EXPECT_EQ(Csv(SortTable(*fx.resident, keys)), Csv(reference::SortTable(*fx.resident, keys)))
         << "seed " << GetParam();
   }
@@ -682,9 +684,29 @@ TEST(EdgeValueTest, KernelsMatchReferenceOnBothChunkSources) {
   // a mixed key, and the global aggregate.
   ExpectKernelsMatchReference(fx, EdgeConditions(), {{2}, {1}, {0}, {0, 2}, {0, 1}, {}},
                               EdgeAggregates(), "edge table");
+  // The double key holds NaN (two bit patterns), -0.0 next to 0.0 and NULL.
   for (const std::vector<SortKey>& keys : std::vector<std::vector<SortKey>>{
-           {{0, true}}, {{1, false}, {0, true}}}) {
+           {{0, true}}, {{1, false}, {0, true}}, {{2, true}}, {{2, false}},
+           {{2, true}, {0, false}}}) {
     EXPECT_EQ(Csv(SortTable(*fx.resident, keys)), Csv(reference::SortTable(*fx.resident, keys)));
+  }
+}
+
+TEST(EdgeValueTest, RowOrderEqualityMatchesItsOrder) {
+  // Fragment boundaries use the unranked Equal; sorts use the ranked
+  // Compare. They must agree on every pair of edge cells, and the order
+  // must be antisymmetric (a strict weak order needs it for NaN above all).
+  const TablePtr table = MakeEdgeValueTable();
+  for (int col = 0; col < table->num_columns(); ++col) {
+    const RowOrder ranked(*table, {SortKey{col, true}});
+    const RowOrder unranked(*table, {SortKey{col, true}}, /*rank_strings=*/false);
+    for (int64_t a = 0; a < table->num_rows(); ++a) {
+      for (int64_t b = 0; b < table->num_rows(); ++b) {
+        const int cmp = ranked.Compare(a, b);
+        EXPECT_EQ(unranked.Equal(a, b), cmp == 0) << "col " << col << " rows " << a << "," << b;
+        EXPECT_EQ(ranked.Compare(b, a), -cmp) << "col " << col << " rows " << a << "," << b;
+      }
+    }
   }
 }
 

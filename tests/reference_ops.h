@@ -18,7 +18,9 @@
 //    value among equals (Value's operator<). A global aggregation emits one
 //    row even on empty input.
 //  - sort: std::stable_sort of row indices with Value::Compare per key,
-//    NULL first ascending.
+//    NULL first ascending, except that NaN sorts after every other double
+//    and equals NaN (PostgreSQL's rule; Value::Compare's NaN-equals-all
+//    would not be a strict weak ordering).
 //
 // Operands must be resident; the suites compare a non-resident twin's
 // kernel output against the reference run on the resident table.
@@ -26,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -205,12 +208,24 @@ inline TablePtr ProjectDistinct(const Table& t, const std::vector<int>& cols) {
   return out;
 }
 
+inline bool IsNaN(const Value& v) {
+  return !v.is_null() && v.type() == DataType::kDouble && std::isnan(v.double_value());
+}
+
+inline int SortCompare(const Value& a, const Value& b) {
+  if (IsNaN(a) || IsNaN(b)) {
+    if (a.is_null() || b.is_null()) return a.Compare(b);  // NULL first
+    return static_cast<int>(IsNaN(a)) - static_cast<int>(IsNaN(b));
+  }
+  return a.Compare(b);
+}
+
 inline TablePtr SortTable(const Table& t, const std::vector<SortKey>& keys) {
   std::vector<int64_t> order(static_cast<size_t>(t.num_rows()));
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
     for (const SortKey& k : keys) {
-      const int cmp = t.GetValue(a, k.col).Compare(t.GetValue(b, k.col));
+      const int cmp = SortCompare(t.GetValue(a, k.col), t.GetValue(b, k.col));
       if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
     }
     return false;

@@ -22,6 +22,7 @@
 #include "common/mutex.h"
 #include "core/engine.h"
 #include "datagen/dblp.h"
+#include "server/admission.h"
 #include "server/protocol.h"
 #include "server/server.h"
 
@@ -111,6 +112,59 @@ TEST(ProtocolTest, OutcomeClassification) {
   EXPECT_FALSE(IsAnswer(Outcome::kRetryAfter));
   EXPECT_FALSE(IsAnswer(Outcome::kError));
   EXPECT_STREQ(OutcomeToString(Outcome::kShed), "shed");
+}
+
+// ---------------------------------------------------------------------------
+// Admission gates, driven with explicit timestamps.
+
+constexpr int64_t kNanosPerSec = 1000000000;
+
+TEST(AdmissionTest, PerTenantCapRejectsOnlyThatTenant) {
+  AdmissionConfig config;
+  config.per_tenant_max_in_system = 2;
+  AdmissionController admission(config);
+  using Kind = AdmissionDecision::Kind;
+  EXPECT_EQ(admission.Admit("alice", 0).kind, Kind::kAdmit);
+  EXPECT_EQ(admission.Admit("alice", 0).kind, Kind::kAdmit);
+  const AdmissionDecision capped = admission.Admit("alice", 0);
+  EXPECT_EQ(capped.kind, Kind::kOverloaded);
+  EXPECT_EQ(capped.retry_after_ms, 0);
+  // The cap is per tenant: bob still gets in, and a rejection holds no slot.
+  EXPECT_EQ(admission.Admit("bob", 0).kind, Kind::kAdmit);
+  EXPECT_EQ(admission.in_system(), 3);
+  // A released slot re-opens the gate for alice.
+  admission.Release("alice", 0, /*time_spent_ms=*/0.0, /*bytes_out=*/0);
+  EXPECT_EQ(admission.Admit("alice", 0).kind, Kind::kAdmit);
+  EXPECT_EQ(admission.Admit("alice", 0).kind, Kind::kOverloaded);
+}
+
+TEST(AdmissionTest, TimeBucketOverdraftAnswersRetryAfterUntilRefilled) {
+  AdmissionConfig config;
+  config.tenant_time_ms_per_sec = 100.0;  // capacity 100 ms at a 1 s burst
+  config.burst_seconds = 1.0;
+  AdmissionController admission(config);
+  using Kind = AdmissionDecision::Kind;
+
+  // A cold tenant holds a full burst; the post-paid debit of 350 ms leaves
+  // a 250 ms deficit.
+  ASSERT_EQ(admission.Admit("alice", 0).kind, Kind::kAdmit);
+  admission.Release("alice", 0, /*time_spent_ms=*/350.0, /*bytes_out=*/0);
+
+  // The hint is the time for the deficit to refill: ⌊1000·250/100⌋ + 1 ms.
+  AdmissionDecision decision = admission.Admit("alice", 0);
+  EXPECT_EQ(decision.kind, Kind::kRetryAfter);
+  EXPECT_EQ(decision.retry_after_ms, 2501);
+  // Other tenants have their own buckets.
+  EXPECT_EQ(admission.Admit("bob", 0).kind, Kind::kAdmit);
+
+  // One second refills 100 ms: 150 ms of deficit remain.
+  decision = admission.Admit("alice", kNanosPerSec);
+  EXPECT_EQ(decision.kind, Kind::kRetryAfter);
+  EXPECT_EQ(decision.retry_after_ms, 1501);
+
+  // 1.5 s later the bucket is back at zero, and alice is admitted again.
+  EXPECT_EQ(admission.Admit("alice", kNanosPerSec + kNanosPerSec * 3 / 2).kind,
+            Kind::kAdmit);
 }
 
 // ---------------------------------------------------------------------------
@@ -579,15 +633,21 @@ TEST_F(ServerTest, TcpServerAnswersOverARealSocket) {
   ASSERT_GE(fd, 0);
   std::string buffer;
 
-  // Two pipelined requests on one connection.
+  // Two pipelined requests on one connection. They run on different
+  // workers, so the responses may arrive in either order; the echoed id
+  // pairs each with its request.
   ASSERT_TRUE(SendAll(fd, "[id=9] ping\n[id=10] stats\n").ok());
-  auto pong = ReadLine(fd, &buffer);
-  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
-  EXPECT_NE(pong->find("\"id\":9"), std::string::npos) << *pong;
-  EXPECT_NE(pong->find("\"outcome\":\"ok\""), std::string::npos) << *pong;
-  auto stats = ReadLine(fd, &buffer);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("\"serve_requests\""), std::string::npos) << *stats;
+  auto first = ReadLine(fd, &buffer);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = ReadLine(fd, &buffer);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const bool pong_first = first->find("\"id\":9,") != std::string::npos;
+  const std::string& pong = pong_first ? *first : *second;
+  const std::string& stats = pong_first ? *second : *first;
+  EXPECT_NE(pong.find("\"id\":9,"), std::string::npos) << pong;
+  EXPECT_NE(pong.find("\"outcome\":\"ok\""), std::string::npos) << pong;
+  EXPECT_NE(stats.find("\"id\":10,"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"serve_requests\""), std::string::npos) << stats;
 
   ASSERT_TRUE(SendAll(fd, PlantedExplainLine("[id=11 deadline_ms=30000]") + "\n").ok());
   auto explain = ReadLine(fd, &buffer);
