@@ -160,6 +160,7 @@ Status Engine::MaintainIncrementally(uint64_t config_digest) {
     revalidated_before = before.candidates_revalidated;
     added_before = before.locals_added;
     replaced_before = before.locals_replaced;
+    maintainer_->set_num_threads(mining_config_.num_threads);
     CAPE_RETURN_IF_ERROR(maintainer_->Absorb(&stop));
   } else {
     maintainer_.reset();

@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "pattern/mining_internal.h"
 #include "relational/operators.h"
 
@@ -20,6 +23,7 @@ namespace {
 
 using mining_internal::CandidateMap;
 using mining_internal::CandidateStats;
+using mining_internal::FragmentInputs;
 using mining_internal::GroupPlan;
 using mining_internal::SplitCandidate;
 using mining_internal::SplitPlan;
@@ -89,10 +93,13 @@ struct GroupSetState {
   std::vector<SplitState> splits;  // parallel to plan.splits
 };
 
-/// Result of re-validating one dirty fragment, staged until the commit
-/// barrier. `locals` is parallel to the split's candidates; nullopt means
-/// the candidate no longer (or still does not) hold on this fragment.
+/// One dirty fragment: collected sequentially, re-validated by one worker,
+/// and staged until the commit barrier. `locals` is parallel to the split's
+/// candidates; nullopt means the candidate no longer (or still does not)
+/// hold on this fragment.
 struct FragmentDelta {
+  const GroupSetState* group_set = nullptr;
+  const SplitPlan* plan = nullptr;
   SplitState* split = nullptr;
   std::string key;
   std::vector<int64_t> new_ids;  // ascending, all >= pre-fold group count
@@ -116,19 +123,14 @@ struct PatternMaintainer::Rep {
     for (GroupSetState& gs : group_sets) gs.groups->DiscardFold();
   }
 
-  /// Buffers reused across every RefitFragment call of one staged delta.
+  /// Buffers one worker reuses across its RefitFragment calls of a delta.
   struct RefitScratch {
     CandidateMap fits;
-    std::vector<double> y;        // per-cell aggregate values (one agg pass)
-    std::vector<uint8_t> valid;   // parallel non-NULL flags
+    FragmentInputs inputs;
   };
 
-  Status RefitFragment(const GroupSetState& gs, const SplitPlan& plan,
-                       const SplitState& split, const RowOrder& v_order,
-                       const std::vector<int64_t>& new_ids, const std::string& key,
-                       std::vector<std::optional<LocalPattern>>* out,
-                       std::vector<int64_t>* merged_out, MiningProfile* scratch_profile,
-                       RefitScratch* scratch) const;
+  Status RefitFragment(const RowOrder& v_order, FragmentDelta* delta,
+                       MiningProfile* scratch_profile, RefitScratch* scratch) const;
   Status StageDelta(int64_t end_row, StopToken* stop, std::vector<FragmentDelta>* pending);
 };
 
@@ -139,15 +141,18 @@ struct PatternMaintainer::Rep {
 /// appear in group discovery order, so the id tie-break reproduces its row
 /// order byte-for-byte. Committed buckets already store that order, so only
 /// the staged-new groups sort and merge in; a fragment dirtied by existing
-/// groups alone reuses the stored order untouched. `merged_out` receives the
-/// full post-fold bucket when new ids exist (the commit barrier moves it
-/// into the bucket) and stays empty otherwise.
-Status PatternMaintainer::Rep::RefitFragment(
-    const GroupSetState& gs, const SplitPlan& plan, const SplitState& split,
-    const RowOrder& v_order, const std::vector<int64_t>& new_ids, const std::string& key,
-    std::vector<std::optional<LocalPattern>>* out, std::vector<int64_t>* merged_out,
-    MiningProfile* scratch_profile, RefitScratch* scratch) const {
+/// groups alone reuses the stored order untouched. Writes only `delta`:
+/// `merged` receives the full post-fold bucket when new ids exist (the
+/// commit barrier moves it into the bucket) and stays empty otherwise.
+/// Reads committed and staged state without changing it, so workers may
+/// re-fit different fragments concurrently.
+Status PatternMaintainer::Rep::RefitFragment(const RowOrder& v_order, FragmentDelta* delta,
+                                             MiningProfile* scratch_profile,
+                                             RefitScratch* scratch) const {
   const Table& base = *table;
+  const GroupSetState& gs = *delta->group_set;
+  const SplitPlan& plan = *delta->plan;
+  const SplitState& split = *delta->split;
   const IncrementalGroupBy& groups = *gs.groups;
   const size_t nv = plan.v_pos.size();
 
@@ -161,20 +166,20 @@ Status PatternMaintainer::Rep::RefitFragment(
     return ga < gb;
   };
 
-  auto bucket_it = split.buckets.find(key);
+  auto bucket_it = split.buckets.find(delta->key);
   const std::vector<int64_t>* cells =
       bucket_it != split.buckets.end() ? &bucket_it->second : nullptr;
-  if (!new_ids.empty()) {
-    std::vector<int64_t> sorted_new = new_ids;
+  if (!delta->new_ids.empty()) {
+    std::vector<int64_t> sorted_new = delta->new_ids;
     std::sort(sorted_new.begin(), sorted_new.end(), before);
     if (cells == nullptr) {
-      *merged_out = std::move(sorted_new);
+      delta->merged = std::move(sorted_new);
     } else {
-      merged_out->reserve(cells->size() + sorted_new.size());
+      delta->merged.reserve(cells->size() + sorted_new.size());
       std::merge(cells->begin(), cells->end(), sorted_new.begin(), sorted_new.end(),
-                 std::back_inserter(*merged_out), before);
+                 std::back_inserter(delta->merged), before);
     }
-    cells = merged_out;
+    cells = &delta->merged;
   }
 
   // Below the local support threshold no candidate can hold (and support
@@ -185,7 +190,7 @@ Status PatternMaintainer::Rep::RefitFragment(
   // fragment count on high-cardinality splits, so this skip carries most of
   // the incremental-vs-scratch speedup.
   if (static_cast<int64_t>(cells->size()) < config.local_support_threshold) {
-    out->assign(plan.candidates.size(), std::nullopt);
+    delta->locals.assign(plan.candidates.size(), std::nullopt);
     return Status::OK();
   }
 
@@ -207,70 +212,72 @@ Status PatternMaintainer::Rep::RefitFragment(
     if (candidate.pattern.model != ModelType::kConst) need_x = true;
   }
 
-  const size_t naggs = gs.plan.agg_cols.size();
-  std::vector<std::vector<double>> ys(naggs);
-  std::vector<std::vector<std::vector<double>>> x_per_agg(naggs);
-  for (size_t a = 0; a < naggs; ++a) {
-    ys[a].reserve(cells->size());
-    x_per_agg[a].reserve(cells->size());
-  }
   const size_t ncells = cells->size();
-  std::vector<double> x(nv, 0.0);
-  const std::vector<double> no_x;
-  scratch->y.resize(ncells);
-  scratch->valid.resize(ncells);
-  for (size_t a = 0; a < naggs; ++a) {
-    groups.AggregateNumericBatch(cells->data(), ncells, a, scratch->y.data(),
-                                 scratch->valid.data());
+  const size_t naggs = gs.plan.agg_cols.size();
+  FragmentInputs& inputs = scratch->inputs;
+  inputs.Reset(ncells, need_x ? nv : 0, naggs);
+  if (need_x) {
     for (size_t i = 0; i < ncells; ++i) {
-      if (!scratch->valid[i]) continue;  // NULL aggregate
-      if (need_x) {
-        const int64_t rep_row = groups.RepresentativeRow((*cells)[i]);
-        for (size_t v = 0; v < nv; ++v) {
-          const int attr = gs.plan.g_attrs[static_cast<size_t>(plan.v_pos[v])];
-          x[v] = plan.v_is_numeric[v] ? base.column(attr).GetNumeric(rep_row) : 0.0;
-        }
+      const int64_t rep_row = groups.RepresentativeRow((*cells)[i]);
+      std::vector<double>& x = inputs.x[i];
+      for (size_t v = 0; v < nv; ++v) {
+        const int attr = gs.plan.g_attrs[static_cast<size_t>(plan.v_pos[v])];
+        x[v] = plan.v_is_numeric[v] ? base.column(attr).GetNumeric(rep_row) : 0.0;
       }
-      ys[a].push_back(scratch->y[i]);
-      x_per_agg[a].push_back(need_x ? x : no_x);
     }
   }
+  for (size_t a = 0; a < naggs; ++a) {
+    groups.AggregateNumericBatch(cells->data(), ncells, a, inputs.cell_value.data(),
+                                 inputs.cell_valid.data());
+    inputs.SetResponses(a);
+  }
 
-  const int64_t support = static_cast<int64_t>(cells->size());
-  out->reserve(plan.candidates.size());
+  const int64_t support = static_cast<int64_t>(ncells);
+  delta->locals.reserve(plan.candidates.size());
   // analyzer:allow-next-line(cancellation) candidates are schema-bounded (agg x model)
   for (const SplitCandidate& candidate : plan.candidates) {
     CandidateMap& fits = scratch->fits;
     fits.clear();  // keeps its bucket array across candidates and deltas
-    mining_internal::FitFragmentCandidate(fragment, x_per_agg[candidate.agg],
-                                          ys[candidate.agg], support, candidate.pattern,
-                                          config, scratch_profile, &fits);
+    mining_internal::FitFragmentCandidate(fragment, inputs.X(candidate.agg),
+                                          inputs.y[candidate.agg], support,
+                                          candidate.pattern, config, scratch_profile, &fits);
     std::optional<LocalPattern> local;
     auto it = fits.find(candidate.pattern);
     if (it != fits.end() && !it->second.locals.empty()) {
       local.emplace(std::move(it->second.locals.front()));
     }
-    out->push_back(std::move(local));
+    delta->locals.push_back(std::move(local));
   }
   return Status::OK();
 }
 
-/// Phases A and B of Absorb: stage the group-table folds, then re-validate
-/// every fragment whose key a touched group maps to. Leaves all folds staged
-/// for the caller to commit or discard; touches no committed state.
+/// Everything of Absorb before the commit barrier, on ThreadPool::Global()
+/// at config.num_threads workers. Phase A stages the group-table folds, one
+/// group set per task; the sequential collection then lists every fragment
+/// a touched group maps to, which fixes `pending`'s order; phase B re-fits
+/// those fragments, each worker writing only the deltas it claimed. Leaves
+/// all folds staged for the caller to commit or discard; touches no
+/// committed state.
 Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
                                           std::vector<FragmentDelta>* pending) {
-  for (GroupSetState& gs : group_sets) {
-    CAPE_RETURN_IF_ERROR(gs.groups->PrepareFold(end_row, stop));
-  }
+  ThreadPool& pool = ThreadPool::Global();
+  ThreadPool::ParallelForOptions opts;
+  opts.max_workers = std::max(config.num_threads, 1);
+  if (stop != nullptr) opts.stop = *stop;
 
-  MiningProfile scratch_profile;  // FitFragmentCandidate's timers; discarded
-  RefitScratch refit_scratch;     // reused across every re-fit this delta
-  // Dictionaries grow with appends, so string V columns are ranked once per
-  // delta here rather than once per fragment.
-  std::vector<SortKey> v_keys;
-  for (int c : v_cols) v_keys.push_back(SortKey{c, true});
-  const RowOrder v_order(*table, v_keys);
+  // Phase A. Each IncrementalGroupBy folds its delta rows in order on one
+  // worker, so its states extend the committed fold exactly as a serial
+  // pass would: no partial sums are merged.
+  CAPE_RETURN_IF_ERROR(pool.ParallelFor(
+      static_cast<int64_t>(group_sets.size()), opts,
+      [&](int /*worker*/, int64_t begin, int64_t end, StopToken* worker_stop) -> Status {
+        for (int64_t i = begin; i < end; ++i) {
+          CAPE_RETURN_IF_ERROR(
+              group_sets[static_cast<size_t>(i)].groups->PrepareFold(end_row, worker_stop));
+        }
+        return Status::OK();
+      }));
+
   // Cell-key segments of the touched groups' representative rows, rebuilt
   // per group-set: every split's fragment key concatenates a subset of the
   // group-set's cell keys, so the base-table cells are encoded once per
@@ -279,6 +286,7 @@ Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
   std::vector<size_t> seg_off;  // (ncols + 1) boundaries per touched id
   std::unordered_map<std::string, std::vector<int64_t>> dirty;  // reused per split
   for (GroupSetState& gs : group_sets) {
+    CAPE_RETURN_IF_STOPPED_BLOCK(stop);
     const int64_t committed = gs.groups->num_groups();
     const std::vector<int64_t>& touched = gs.groups->staged_touched();
     if (touched.empty()) continue;
@@ -296,7 +304,6 @@ Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
     }
     for (size_t s = 0; s < gs.splits.size(); ++s) {
       const SplitPlan& plan = gs.plan.splits[s];
-      SplitState& split = gs.splits[s];
       // Touched groups, partitioned by this split's fragment key. New ids
       // arrive in first-touch order (ascending), committed dirty groups mark
       // their fragment with an (empty) entry. Map order is irrelevant: every
@@ -317,19 +324,37 @@ Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
       }
       // analyzer:allow-next-line(unordered-iteration) deltas commit by key
       for (auto& [fkey, new_ids] : dirty) {
-        CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-        FragmentDelta delta;
-        delta.split = &split;
+        FragmentDelta& delta = pending->emplace_back();
+        delta.group_set = &gs;
+        delta.plan = &plan;
+        delta.split = &gs.splits[s];
         delta.key = fkey;
         delta.new_ids = std::move(new_ids);
-        CAPE_RETURN_IF_ERROR(RefitFragment(gs, plan, split, v_order, delta.new_ids,
-                                           delta.key, &delta.locals, &delta.merged,
-                                           &scratch_profile, &refit_scratch));
-        pending->push_back(std::move(delta));
       }
     }
   }
-  return Status::OK();
+
+  // Phase B. Dictionaries grow with appends, so string V columns are ranked
+  // once per delta here rather than once per fragment.
+  std::vector<SortKey> v_keys;
+  for (int c : v_cols) v_keys.push_back(SortKey{c, true});
+  const RowOrder v_order(*table, v_keys);
+  const int64_t n = static_cast<int64_t>(pending->size());
+  opts.grain = 8;  // most fragments are below support and cost a bucket probe
+  const int workers = pool.PlannedWorkers(n, opts);
+  std::vector<RefitScratch> scratch(static_cast<size_t>(workers));
+  // FitFragmentCandidate's timers; discarded.
+  std::vector<MiningProfile> scratch_profiles(static_cast<size_t>(workers));
+  return pool.ParallelFor(
+      n, opts, [&](int worker, int64_t begin, int64_t end, StopToken* worker_stop) -> Status {
+        const size_t w = static_cast<size_t>(worker);
+        for (int64_t i = begin; i < end; ++i) {
+          CAPE_RETURN_IF_STOPPED_BLOCK(worker_stop);
+          CAPE_RETURN_IF_ERROR(RefitFragment(v_order, &(*pending)[static_cast<size_t>(i)],
+                                             &scratch_profiles[w], &scratch[w]));
+        }
+        return Status::OK();
+      });
 }
 
 PatternMaintainer::PatternMaintainer(std::unique_ptr<Rep> rep) : rep_(std::move(rep)) {}
@@ -338,6 +363,10 @@ PatternMaintainer::~PatternMaintainer() = default;
 int64_t PatternMaintainer::rows_folded() const { return rep_->rows_folded; }
 uint64_t PatternMaintainer::config_digest() const { return rep_->config_digest; }
 const MaintenanceStats& PatternMaintainer::stats() const { return rep_->stats; }
+
+void PatternMaintainer::set_num_threads(int num_threads) {
+  rep_->config.num_threads = std::max(num_threads, 1);
+}
 
 Result<std::unique_ptr<PatternMaintainer>> PatternMaintainer::Build(
     TablePtr table, const MiningConfig& config, StopToken* stop) {

@@ -72,8 +72,11 @@ struct MaintenanceStats {
 /// RowOrder treats as one value, so fragment identity would not be
 /// byte-stable.
 ///
-/// Not thread-safe; the table must outlive the maintainer and must only grow
-/// via appends between calls.
+/// Internally parallel at `config.num_threads`: Absorb stages the group
+/// folds and the fragment re-fits on ThreadPool::Global() and commits them
+/// on the calling thread, byte-identically at any thread count. Callers
+/// still serialize calls; the table must outlive the maintainer and must
+/// only grow via appends between calls.
 class PatternMaintainer {
  public:
   /// Builds maintenance state for `table` under `config` and folds all
@@ -107,6 +110,11 @@ class PatternMaintainer {
   uint64_t config_digest() const;
 
   const MaintenanceStats& stats() const;
+
+  /// Worker count of the next Absorb (clamped to >= 1); Build starts from
+  /// config.num_threads. Not part of config_digest(): the result does not
+  /// depend on it.
+  void set_num_threads(int num_threads);
 
  private:
   struct Rep;

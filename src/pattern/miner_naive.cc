@@ -108,7 +108,7 @@ class NaiveMiner final : public PatternMiner {
       mining_internal::BuildFragmentInputs(*fragment_data, 0, support, v_cols,
                                            split.v_is_numeric, agg_cols, &inputs);
       profile->num_rows_scanned += support;
-      mining_internal::FitFragmentCandidate(fragment, inputs.x[0], inputs.y[0], support,
+      mining_internal::FitFragmentCandidate(fragment, inputs.X(0), inputs.y[0], support,
                                             pattern, config, profile, &staged);
     }
     for (auto& [p, stats] : staged) {

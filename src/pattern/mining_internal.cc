@@ -1,6 +1,8 @@
 #include "pattern/mining_internal.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -168,27 +170,50 @@ void FitFragmentCandidate(const Row& fragment, const std::vector<std::vector<dou
   stats.locals.push_back(std::move(local));
 }
 
+void FragmentInputs::Reset(size_t num_rows, size_t num_v, size_t num_aggs) {
+  x.resize(num_rows);
+  for (std::vector<double>& row : x) row.resize(num_v);
+  y.resize(num_aggs);
+  x_nonnull.resize(num_aggs);
+  has_null.resize(num_aggs);
+  cell_value.resize(num_rows);
+  cell_valid.resize(num_rows);
+}
+
+void FragmentInputs::SetResponses(size_t agg) {
+  std::vector<double>& responses = y[agg];
+  responses.clear();
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (cell_valid[i]) responses.push_back(cell_value[i]);
+  }
+  has_null[agg] = responses.size() < x.size() ? 1 : 0;
+  if (!has_null[agg]) return;
+  std::vector<std::vector<double>>& rows = x_nonnull[agg];
+  rows.clear();
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (cell_valid[i]) rows.push_back(x[i]);
+  }
+}
+
 void BuildFragmentInputs(const Table& data, int64_t begin, int64_t end,
                          const std::vector<int>& v_cols,
                          const std::vector<bool>& v_is_numeric,
                          const std::vector<AggColumnRef>& agg_cols, FragmentInputs* out) {
-  out->x.resize(agg_cols.size());
-  out->y.resize(agg_cols.size());
-  for (size_t a = 0; a < agg_cols.size(); ++a) {
-    out->x[a].clear();
-    out->y[a].clear();
-  }
-  std::vector<double> x(v_cols.size());
+  out->Reset(static_cast<size_t>(end - begin), v_cols.size(), agg_cols.size());
   for (int64_t row = begin; row < end; ++row) {
+    std::vector<double>& x = out->x[static_cast<size_t>(row - begin)];
     for (size_t v = 0; v < v_cols.size(); ++v) {
       x[v] = v_is_numeric[v] ? data.column(v_cols[v]).GetNumeric(row) : 0.0;
     }
-    for (size_t a = 0; a < agg_cols.size(); ++a) {
-      const Column& col = data.column(agg_cols[a].col_in_data);
-      if (col.IsNull(row)) continue;
-      out->y[a].push_back(col.GetNumeric(row));
-      out->x[a].push_back(x);
+  }
+  for (size_t a = 0; a < agg_cols.size(); ++a) {
+    const Column& col = data.column(agg_cols[a].col_in_data);
+    for (int64_t row = begin; row < end; ++row) {
+      const size_t i = static_cast<size_t>(row - begin);
+      out->cell_valid[i] = col.IsNull(row) ? 0 : 1;
+      out->cell_value[i] = out->cell_valid[i] ? col.GetNumeric(row) : 0.0;
     }
+    out->SetResponses(a);
   }
 }
 
@@ -227,7 +252,7 @@ Status EvaluateSplit(const Table& data, const SplitPlan& split,
     BuildFragmentInputs(data, begin, end, split.v_pos, split.v_is_numeric, agg_cols, &inputs);
     // analyzer:allow-next-line(cancellation) candidates are schema-bounded (agg x model)
     for (const SplitCandidate& candidate : split.candidates) {
-      FitFragmentCandidate(fragment, inputs.x[candidate.agg], inputs.y[candidate.agg],
+      FitFragmentCandidate(fragment, inputs.X(candidate.agg), inputs.y[candidate.agg],
                            end - begin, candidate.pattern, config, profile, &staged);
     }
     begin = end;
@@ -284,12 +309,18 @@ PatternSet FinalizePatterns(CandidateMap candidates, const MiningConfig& config)
                                static_cast<double>(stats.num_supported);
     global.max_positive_dev = stats.max_positive_dev;
     global.min_negative_dev = stats.min_negative_dev;
-    // Deterministic local order: sort by fragment key.
-    std::sort(stats.locals.begin(), stats.locals.end(),
-              [](const LocalPattern& a, const LocalPattern& b) {
-                return EncodeRowKey(a.fragment) < EncodeRowKey(b.fragment);
-              });
-    global.locals = std::move(stats.locals);
+    // Deterministic local order: sort by fragment key, each key encoded
+    // once. The (key, index) pairs sort by key alone, so std::sort applies
+    // the permutation it would apply to the locals themselves.
+    std::vector<std::pair<std::string, size_t>> order;
+    order.reserve(stats.locals.size());
+    for (size_t i = 0; i < stats.locals.size(); ++i) {
+      order.emplace_back(EncodeRowKey(stats.locals[i].fragment), i);
+    }
+    std::sort(order.begin(), order.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    global.locals.reserve(order.size());
+    for (const auto& [key, i] : order) global.locals.push_back(std::move(stats.locals[i]));
     out.Add(std::move(global));
   }
   return out;

@@ -1,6 +1,7 @@
 #ifndef CAPE_PATTERN_MINING_INTERNAL_H_
 #define CAPE_PATTERN_MINING_INTERNAL_H_
 
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -98,12 +99,35 @@ Result<TablePtr> GroupQuery(const Table& table, const GroupPlan& plan,
 Result<TablePtr> SortQuery(const Table& data, const std::vector<int>& cols,
                            MiningProfile* profile, StopToken* stop);
 
-/// Regression inputs of one fragment, per aggregate column: the predictor
-/// rows and responses of the fragment rows whose aggregate is non-NULL.
-/// Buffers keep their capacity across fragments.
+/// Regression inputs of one fragment: one predictor row per fragment row,
+/// built once, and per aggregate column the responses of the rows whose
+/// aggregate is non-NULL. An aggregate with a NULL cell pairs its responses
+/// with its own filtered copy of the predictor rows; every other aggregate
+/// (count(*) always) shares `x`. Buffers keep their capacity across
+/// fragments.
 struct FragmentInputs {
-  std::vector<std::vector<std::vector<double>>> x;  // [agg][row][v]
-  std::vector<std::vector<double>> y;               // [agg][row]
+  std::vector<std::vector<double>> x;                       // [row][v]
+  std::vector<std::vector<double>> y;                       // [agg][non-NULL row]
+  std::vector<std::vector<std::vector<double>>> x_nonnull;  // [agg][non-NULL row][v]
+  std::vector<uint8_t> has_null;                            // [agg]
+  /// One aggregate column of the fragment, parallel to x: the value and
+  /// non-NULL flag of each row. SetResponses reads it.
+  std::vector<double> cell_value;
+  std::vector<uint8_t> cell_valid;
+
+  /// Sizes the buffers for a fragment of `num_rows` rows, `num_v` predictors
+  /// and `num_aggs` aggregates. The caller fills x and, per aggregate, the
+  /// cell_* columns before calling SetResponses.
+  void Reset(size_t num_rows, size_t num_v, size_t num_aggs);
+
+  /// Derives y[agg] (and x_nonnull[agg] when a cell is NULL) from the cell_*
+  /// columns.
+  void SetResponses(size_t agg);
+
+  /// The predictor rows paired with y[agg].
+  const std::vector<std::vector<double>>& X(size_t agg) const {
+    return has_null[agg] ? x_nonnull[agg] : x;
+  }
 };
 
 /// Fills `out` from rows [begin, end) of `data`: predictors from columns

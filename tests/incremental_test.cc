@@ -102,55 +102,70 @@ TEST(IncrementalTest, AbsorbIsNoOpWhenTableUnchanged) {
 }
 
 TEST(IncrementalTest, CancelledAbsorbLeavesMaintainerReusable) {
-  TablePtr table = MakeTable(2000);
-  TablePtr donor = MakeTable(2100);
-  const MiningConfig config = TestConfig();
-  auto maintainer = PatternMaintainer::Build(table, config);
-  ASSERT_TRUE(maintainer.ok());
-  const std::string before = Finalized(**maintainer, *table);
+  // At 4 threads each pool worker of the staging phase sees the stop through
+  // its own copy of the token; no group set may be left with a staged fold.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    TablePtr table = MakeTable(2000);
+    TablePtr donor = MakeTable(2100);
+    MiningConfig config = TestConfig();
+    config.num_threads = threads;
+    auto maintainer = PatternMaintainer::Build(table, config);
+    ASSERT_TRUE(maintainer.ok());
+    const std::string before = Finalized(**maintainer, *table);
+    const int64_t batches = (*maintainer)->stats().batches_absorbed;
 
-  for (int64_t r = 2000; r < 2100; ++r) {
-    ASSERT_TRUE(table->AppendRow(donor->GetRow(r)).ok());
+    for (int64_t r = 2000; r < 2100; ++r) {
+      ASSERT_TRUE(table->AppendRow(donor->GetRow(r)).ok());
+    }
+
+    // A pre-cancelled token stops the pass mid-maintenance; the transaction
+    // must roll back completely: fold point unchanged, Finalize untouched.
+    CancellationSource source;
+    source.RequestCancel();
+    StopToken stop(Deadline::Infinite(), source.token(), /*check_stride=*/1);
+    Status st = (*maintainer)->Absorb(&stop);
+    ASSERT_TRUE(st.IsStop()) << st.ToString();
+    EXPECT_EQ((*maintainer)->rows_folded(), 2000);
+    EXPECT_EQ((*maintainer)->stats().batches_absorbed, batches);
+    EXPECT_EQ(Finalized(**maintainer, *table), before);
+
+    // Reusable: the next unstopped pass catches up and matches scratch.
+    ASSERT_TRUE((*maintainer)->Absorb().ok());
+    EXPECT_EQ((*maintainer)->rows_folded(), 2100);
+    EXPECT_EQ(Finalized(**maintainer, *table), Scratch(*table, config));
   }
-
-  // A pre-cancelled token stops the pass mid-maintenance; the transaction
-  // must roll back completely: fold point unchanged, Finalize untouched.
-  CancellationSource source;
-  source.RequestCancel();
-  StopToken stop(Deadline::Infinite(), source.token(), /*check_stride=*/1);
-  Status st = (*maintainer)->Absorb(&stop);
-  ASSERT_TRUE(st.IsStop()) << st.ToString();
-  EXPECT_EQ((*maintainer)->rows_folded(), 2000);
-  EXPECT_EQ(Finalized(**maintainer, *table), before);
-
-  // Reusable: the next unstopped pass catches up and matches scratch.
-  ASSERT_TRUE((*maintainer)->Absorb().ok());
-  EXPECT_EQ((*maintainer)->rows_folded(), 2100);
-  EXPECT_EQ(Finalized(**maintainer, *table), Scratch(*table, config));
 }
 
 TEST(IncrementalTest, MergeFailpointRollsBackAndMaintainerStaysValid) {
-  TablePtr table = MakeTable(2000);
-  TablePtr donor = MakeTable(2100);
-  const MiningConfig config = TestConfig();
-  auto maintainer = PatternMaintainer::Build(table, config);
-  ASSERT_TRUE(maintainer.ok());
-  const std::string before = Finalized(**maintainer, *table);
+  // The fault fires after both parallel phases staged their work, so at 4
+  // threads it discards folds and re-fits produced on pool workers.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    TablePtr table = MakeTable(2000);
+    TablePtr donor = MakeTable(2100);
+    MiningConfig config = TestConfig();
+    config.num_threads = threads;
+    auto maintainer = PatternMaintainer::Build(table, config);
+    ASSERT_TRUE(maintainer.ok());
+    const std::string before = Finalized(**maintainer, *table);
 
-  for (int64_t r = 2000; r < 2100; ++r) {
-    ASSERT_TRUE(table->AppendRow(donor->GetRow(r)).ok());
+    for (int64_t r = 2000; r < 2100; ++r) {
+      ASSERT_TRUE(table->AppendRow(donor->GetRow(r)).ok());
+    }
+    {
+      failpoint::ScopedFailpoint fp("incremental.merge");
+      Status st = (*maintainer)->Absorb();
+      EXPECT_TRUE(st.IsIOError()) << st.ToString();
+      EXPECT_EQ((*maintainer)->rows_folded(), 2000);
+      EXPECT_EQ(Finalized(**maintainer, *table), before);
+    }
+    // Disarmed: same maintainer completes the same delta, byte-identical to
+    // scratch — the fault never leaks partial state into the result.
+    ASSERT_TRUE((*maintainer)->Absorb().ok());
+    EXPECT_EQ((*maintainer)->rows_folded(), 2100);
+    EXPECT_EQ(Finalized(**maintainer, *table), Scratch(*table, config));
   }
-  {
-    failpoint::ScopedFailpoint fp("incremental.merge");
-    Status st = (*maintainer)->Absorb();
-    EXPECT_TRUE(st.IsIOError()) << st.ToString();
-    EXPECT_EQ((*maintainer)->rows_folded(), 2000);
-    EXPECT_EQ(Finalized(**maintainer, *table), before);
-  }
-  // Disarmed: same maintainer completes the same delta, byte-identical to
-  // scratch — the fault never leaks partial state into the result.
-  ASSERT_TRUE((*maintainer)->Absorb().ok());
-  EXPECT_EQ(Finalized(**maintainer, *table), Scratch(*table, config));
 }
 
 TEST(IncrementalTest, UnsupportedConfigsRejectedAtBuild) {
@@ -297,6 +312,30 @@ TEST(IncrementalTest, EngineConfigChangeRebuildsMaintainer) {
   ASSERT_TRUE(engine->AppendAndRemine({donor->GetRow(2001)}).ok());
   EXPECT_EQ(SerializePatternSet(engine->patterns(), engine->schema()),
             Scratch(*engine->table(), engine->mining_config()));
+}
+
+TEST(IncrementalTest, EngineThreadCountChangesBetweenAppends) {
+  // The maintainer is built at the engine's thread count of the first
+  // append; later appends run at whatever the engine is set to then.
+  TablePtr donor = MakeTable(2300);
+  auto engine = Engine::FromTable(MakeTable(2000));
+  ASSERT_TRUE(engine.ok());
+  engine->mining_config() = TestConfig();
+  engine->set_num_threads(1);
+  ASSERT_TRUE(engine->MinePatterns("ARP-MINE").ok());
+
+  int64_t next = 2000;
+  for (int threads : {1, 4, 2}) {
+    engine->set_num_threads(threads);
+    std::vector<Row> delta;
+    for (int64_t end = next + 100; next < end; ++next) delta.push_back(donor->GetRow(next));
+    ASSERT_TRUE(engine->AppendAndRemine(delta).ok());
+    EXPECT_EQ(SerializePatternSet(engine->patterns(), engine->schema()),
+              Scratch(*engine->table(), engine->mining_config()))
+        << "append at " << threads << " threads";
+  }
+  EXPECT_EQ(engine->table()->num_rows(), 2300);
+  EXPECT_EQ(engine->run_stats().maint_full_remines, 0);
 }
 
 // ---------------------------------------------------------------------------

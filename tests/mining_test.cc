@@ -167,6 +167,46 @@ TEST(MiningTest, ArpMineSharesSortOrders) {
   EXPECT_GT(arp->profile.num_sorts, 0);
 }
 
+TEST(MiningTest, NullAggregateCellsDropOutOfTheFitButCountTowardSupport) {
+  // One fragment f = 'A' over v = 1..4 where sum(a) is NULL at v = 2 (its
+  // only row has a NULL a). Every miner must fit each non-NULL sum against
+  // its own v — sum = 10·v exactly, so the model predicts 20 at v = 2 from
+  // three samples — while the NULL cell still counts toward the support.
+  auto table = MakeEmptyTable({Field{"f", DataType::kString, false},
+                               Field{"v", DataType::kInt64, false},
+                               Field{"a", DataType::kInt64, true}});
+  for (const Row& row : std::vector<Row>{{Value::String("A"), Value::Int64(1), Value::Int64(10)},
+                                         {Value::String("A"), Value::Int64(2), Value::Null()},
+                                         {Value::String("A"), Value::Int64(3), Value::Int64(30)},
+                                         {Value::String("A"), Value::Int64(4), Value::Int64(40)}}) {
+    ASSERT_TRUE(table->AppendRow(row).ok());
+  }
+  MiningConfig config;
+  config.max_pattern_size = 2;
+  config.local_gof_threshold = 0.9;
+  config.local_support_threshold = 2;
+  config.global_confidence_threshold = 0.5;
+  config.global_support_threshold = 1;
+  config.agg_functions = {AggFunc::kSum};
+  config.model_types = {ModelType::kLinear};
+  const Pattern linear{AttrSet::Single(0), AttrSet::Single(1), AggFunc::kSum, 2,
+                       ModelType::kLinear};
+  for (const char* name : {"NAIVE", "CUBE", "SHARE-GRP", "ARP-MINE"}) {
+    SCOPED_TRACE(name);
+    auto miner = MakeMinerByName(name);
+    ASSERT_TRUE(miner.ok());
+    auto result = (*miner)->Mine(*table, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const GlobalPattern* global = result->patterns.Find(linear);
+    ASSERT_NE(global, nullptr);
+    const LocalPattern* local = global->FindLocal({Value::String("A")});
+    ASSERT_NE(local, nullptr);
+    EXPECT_EQ(local->support, 4);
+    EXPECT_EQ(local->model->num_samples(), 3u);
+    EXPECT_NEAR(local->model->Predict({2.0}), 20.0, 1e-6);  // the fit is ridge-damped
+  }
+}
+
 TEST(MakeMinerByNameTest, AllNamesResolve) {
   for (const char* name : {"NAIVE", "CUBE", "SHARE-GRP", "ARP-MINE"}) {
     auto miner = MakeMinerByName(name);

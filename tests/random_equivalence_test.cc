@@ -453,9 +453,10 @@ TablePtr PrefixTable(const TablePtr& pool, int64_t size) {
 /// AppendAndRemine. Returns the engine so callers can also explain on it.
 Result<Engine> GrowIncrementally(const TablePtr& pool,
                                  const std::vector<int64_t>& schedule,
-                                 const MiningConfig& config) {
+                                 const MiningConfig& config, int threads = 1) {
   CAPE_ASSIGN_OR_RETURN(Engine engine, Engine::FromTable(PrefixTable(pool, schedule[0])));
   engine.mining_config() = config;
+  engine.set_num_threads(threads);
   CAPE_RETURN_IF_ERROR(engine.MinePatterns("ARP-MINE"));
   for (size_t i = 1; i < schedule.size(); ++i) {
     std::vector<Row> delta;
@@ -518,19 +519,28 @@ TEST_P(IncrementalVsScratchTest, MaintainedSetMatchesScratchAcrossThreadCounts) 
   const MiningConfig config = OracleMiningConfig(3);
 
   // The many-small-batches schedule is the one with the most maintained
-  // state; the scratch side sweeps thread counts (byte identity must be
-  // thread-count-invariant; on a single-hardware-thread host this still
-  // exercises the work-splitting paths).
-  auto grown = GrowIncrementally(pool, AppendSchedules(n)[3], config);
-  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-  const std::string maintained =
-      SerializePatternSet(grown->patterns(), grown->schema());
+  // state. Both sides sweep thread counts: the maintainer stages its folds
+  // and re-fits on the pool, the scratch miner splits its attribute sets,
+  // and byte identity must be thread-count-invariant on both (on a
+  // single-hardware-thread host this still exercises the work-splitting
+  // paths).
+  auto reference = MineScratch(pool, n, config, /*threads=*/1);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string want =
+      SerializePatternSet(reference->patterns(), reference->schema());
 
   for (int threads : {1, 2, 4, 8}) {
+    auto grown = GrowIncrementally(pool, AppendSchedules(n)[3], config, threads);
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    EXPECT_EQ(grown->run_stats().maint_full_remines, 0)
+        << "seed " << GetParam() << " threads " << threads;
+    EXPECT_EQ(SerializePatternSet(grown->patterns(), grown->schema()), want)
+        << "maintained, seed " << GetParam() << " threads " << threads;
+
     auto scratch = MineScratch(pool, n, config, threads);
     ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
-    EXPECT_EQ(maintained, SerializePatternSet(scratch->patterns(), scratch->schema()))
-        << "seed " << GetParam() << " threads " << threads;
+    EXPECT_EQ(SerializePatternSet(scratch->patterns(), scratch->schema()), want)
+        << "scratch, seed " << GetParam() << " threads " << threads;
   }
 }
 

@@ -482,6 +482,9 @@ Engine MakeAppendEngine() {
   mining.global_support_threshold = 10;
   mining.agg_functions = {AggFunc::kCount};
   mining.excluded_attrs = {"pubid"};
+  // APPEND then stages its maintenance on the shared pool from a server
+  // worker thread.
+  engine.set_num_threads(4);
   EXPECT_TRUE(engine.MinePatterns().ok());
   return engine;
 }
